@@ -9,6 +9,10 @@ algorithms and writes one JSON document with two kinds of metric:
   pruning scans (deterministic given the seeded workloads; compared
   tightly).
 
+The pruning scans are gated on seconds as well as on tuples accessed:
+a scan that reads few tuples but spends seconds per tuple would pass a
+count-only gate.
+
 The committed ``BENCH_baseline.json`` at the repository root is the
 reference; CI regenerates a fresh run and gates on
 :mod:`repro.bench.compare`:
@@ -158,6 +162,22 @@ SUITE: tuple[Case, ...] = (
             lambda relation: tuple_rank_distributions(
                 relation, engine="gf"
             ),
+        ),
+    ),
+    Case(
+        "a_erank_prune/uu/n=1000/k=10/seconds",
+        "seconds",
+        _timing(
+            lambda scale: attribute_workload("uu", _scaled(1000, scale)),
+            lambda relation: a_erank_prune(relation, 10),
+        ),
+    ),
+    Case(
+        "a_mqrank_prune/zipf/n=2000/k=10/seconds",
+        "seconds",
+        _timing(
+            lambda scale: attribute_workload("zipf", _scaled(2000, scale)),
+            lambda relation: a_mqrank_prune(relation, 10),
         ),
     ),
     Case(

@@ -7,7 +7,6 @@ checkers, and the unified semantics registry.
 from repro.core.attr_expected_rank import (
     a_erank,
     a_erank_prune,
-    a_erank_prune_lazy,
     attribute_expected_ranks,
     attribute_expected_ranks_quadratic,
     attribute_expected_ranks_vectorized,
@@ -95,7 +94,6 @@ __all__ = [
     "TupleColumns",
     "a_erank",
     "a_erank_prune",
-    "a_erank_prune_lazy",
     "a_mqrank",
     "a_mqrank_prune",
     "attribute_expected_ranks",

@@ -16,6 +16,17 @@ Two algorithms:
   lower bound of every unseen tuple, then answers from the curtailed
   database exactly as the paper prescribes.  The Markov step requires
   strictly positive scores.
+
+  The seen set is one columnar state (:class:`_SeenState`): padded
+  ``(N, s)`` value, probability and suffix arrays in access order.
+  An arrival costs two numpy passes over the ``n`` seen rows
+  (``O(n * s^2)`` element work, no Python loop over tuples) and a
+  halting check one more, so a scan that stops after ``n`` tuples does
+  ``O(n^2 s^2)`` element work in ``O(n)`` vector calls.  The sums fold
+  in the order of the scalar pairwise scan, so every bound is
+  bit-identical to it; a Fenwick tree or universe prefix sums would be
+  asymptotically cheaper but reorder the sums, and a halting test at
+  the boundary could flip.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ import bisect
 import heapq
 import math
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.beats import beat_probability
 from repro.core.result import RankedItem, TopKResult
@@ -38,7 +51,6 @@ __all__ = [
     "attribute_expected_ranks_vectorized",
     "a_erank",
     "a_erank_prune",
-    "a_erank_prune_lazy",
 ]
 
 
@@ -146,7 +158,6 @@ def attribute_expected_ranks_vectorized(
     """
     _check_ties(ties)
     count("a_erank_vectorized.tuples_accessed", relation.size)
-    import numpy as np
 
     sizes = [row.score.support_size for row in relation]
     total = sum(sizes)
@@ -315,29 +326,113 @@ def a_erank(
     )
 
 
-class _SeenTuple:
-    """Per-tuple pruning state: seen-beats sum and Markov tail shape."""
+class _SeenState:
+    """Columnar incremental pruning state over one access order.
 
-    __slots__ = ("row", "position", "seen_term", "inverse_moment")
+    Row ``i`` describes the ``i``-th tuple in access order as padded
+    ``(N, s_max)`` columns: its pdf values (padded with ``inf``), their
+    probabilities (padded with ``0``) and the suffix
+    ``Pr[X >= v_l]`` (padded with ``0``, plus a trailing ``0`` column
+    for ``Pr[X > v_max]``).  ``seen_term[i]`` is the first term of
+    equation (5): ``sum`` over seen ``j != i`` of ``Pr[X_j beats X_i]``.
 
-    def __init__(self, row: AttributeTuple, position: int) -> None:
-        self.row = row
-        self.position = position
-        # sum over seen j != i of Pr[X_j beats X_i]
-        self.seen_term = 0.0
-        # sum_l p_{i,l} / v_{i,l}; multiplied by E[X_n] it gives the
-        # Markov tail term of equation (5) before clamping.
-        self.inverse_moment = math.fsum(
-            probability / value for value, probability in row.score.items()
+    Every sum folds in the order of the scalar pairwise scan — each
+    pdf's entries left to right, seen tuples in arrival order — and
+    padding adds exact zeros, so the bounds are bit-identical to it.
+    Memory is ``O(N * s_max)``: one very wide pdf widens every row.
+    """
+
+    def __init__(
+        self, relation: AttributeLevelRelation, ties: TieRule
+    ) -> None:
+        rows = relation.order_by_expected_score()
+        size = len(rows)
+        width = max((row.score.support_size for row in rows), default=1)
+        self.rows: list[AttributeTuple] = rows
+        self.by_index = ties == "by_index"
+        self.positions = np.array(
+            [relation.position_of(row.tid) for row in rows], dtype=np.int64
         )
+        self.values = np.full((size, width), np.inf)
+        self.probabilities = np.zeros((size, width))
+        for index, row in enumerate(rows):
+            support = row.score.support_size
+            self.values[index, :support] = row.score.values
+            self.probabilities[index, :support] = row.score.probabilities
+        # Reversed sequential cumsum, as DiscretePDF builds its suffix.
+        self.suffix = np.zeros((size, width + 1))
+        self.suffix[:, :width] = np.cumsum(
+            self.probabilities[:, ::-1], axis=1
+        )[:, ::-1]
+        self.seen_term = np.zeros(size)
+        self.count = 0
 
-    def markov_tail(self, expectation_bound: float) -> float:
-        """``sum_l p_{i,l} min(1, E / v_{i,l})`` — clamped equation 5/6
-        term."""
-        tail = 0.0
-        for value, probability in self.row.score.items():
-            tail += probability * min(1.0, expectation_bound / value)
-        return tail
+    def _beats(
+        self, rows: np.ndarray, values: np.ndarray, position: int
+    ) -> np.ndarray:
+        """``Pr[X_j beats v]`` for ``j`` in ``rows`` (axis 0) and ``v`` in
+        ``values`` (axis 1), held by the tuple inserted at ``position``."""
+        seen_values = self.values[rows][:, :, None]
+        # Entries of X_j that do not beat v; their count indexes the
+        # suffix, as bisect does in DiscretePDF.
+        losing = seen_values <= values
+        if self.by_index:
+            earlier = self.positions[rows] < position
+            losing[earlier] = seen_values[earlier] < values
+        return self.suffix[rows[:, None], np.count_nonzero(losing, axis=1)]
+
+    def value_beats(self, value: float, row: int) -> list[float]:
+        """``Pr[X_j beats X_row = value]`` for every other seen ``j``,
+        in arrival order."""
+        others = np.delete(np.arange(self.count), row)
+        beats = self._beats(others, np.array([value]), self.positions[row])
+        return beats[:, 0].tolist()
+
+    def admit(self) -> None:
+        """Bring the next tuple of the access order into the seen set.
+
+        Two vector passes: the arriving pdf's beat mass is added to
+        every seen tuple's ``seen_term``, then the arriving tuple's own
+        ``seen_term`` is folded over the seen pdfs in arrival order.
+        """
+        arriving = self.count
+        self.count += 1
+        if not arriving:
+            return
+        support = self.rows[arriving].score.support_size
+        values = self.values[arriving, :support]
+        suffix = self.suffix[arriving]
+        position = self.positions[arriving]
+        seen_values = self.values[:arriving]
+        # Pass 1: Pr[arriving beats j] = sum_l p_{j,l} Pr[X_a > v_{j,l}].
+        index = np.searchsorted(values, seen_values, side="right")
+        if self.by_index:
+            earlier = position < self.positions[:arriving]
+            index[earlier] = np.searchsorted(
+                values, seen_values[earlier], side="left"
+            )
+        beaten = self.probabilities[:arriving] * suffix[index]
+        self.seen_term[:arriving] += np.cumsum(beaten, axis=1)[:, -1]
+        # Pass 2: Pr[j beats arriving] for every seen j, then the fold.
+        beating = self._beats(np.arange(arriving), values, position)
+        beats = np.cumsum(
+            self.probabilities[arriving, :support] * beating, axis=1
+        )[:, -1]
+        self.seen_term[arriving] = np.cumsum(beats)[-1]
+
+    def markov_tails(self, expectation_bound: float) -> np.ndarray:
+        """``sum_l p_{i,l} min(1, E / v_{i,l})`` for every seen tuple —
+        the clamped Markov term of equations (5) and (6)."""
+        seen = self.count
+        ratio = np.minimum(1.0, expectation_bound / self.values[:seen])
+        return np.cumsum(
+            self.probabilities[:seen] * ratio, axis=1
+        )[:, -1]
+
+    def curtailed(self) -> AttributeLevelRelation:
+        """The seen tuples as a relation, in insertion order."""
+        order = np.argsort(self.positions[: self.count], kind="stable")
+        return AttributeLevelRelation([self.rows[i] for i in order])
 
 
 @profiled("a_erank_prune")
@@ -385,9 +480,8 @@ def a_erank_prune(
                 "A-ERank-Prune requires strictly positive scores"
             )
 
-    access_order = relation.order_by_expected_score()
     total = relation.size
-    seen: list[_SeenTuple] = []
+    state = _SeenState(relation, ties)
     halted_early = False
 
     # Bound trajectory for EXPLAIN: recorded only while observability
@@ -397,40 +491,17 @@ def a_erank_prune(
     )
     stride = max(1, total // 64)
 
-    for row in access_order:
-        arriving = _SeenTuple(row, relation.position_of(row.tid))
-        # Update pairwise seen-beats sums (the first term of eq. 5).
-        for other in seen:
-            other.seen_term += beat_probability(
-                arriving.row.score,
-                other.row.score,
-                challenger_is_earlier=arriving.position < other.position,
-                ties=ties,
-            )
-            arriving.seen_term += beat_probability(
-                other.row.score,
-                arriving.row.score,
-                challenger_is_earlier=other.position < arriving.position,
-                ties=ties,
-            )
-        seen.append(arriving)
-
-        n = len(seen)
+    for row in state.rows:
+        state.admit()
+        n = state.count
         if n < k or n == total:
             continue
-        expectation_bound = row.expected_score()
-        tails = [entry.markov_tail(expectation_bound) for entry in seen]
-        unseen_count = total - n
-        upper_bounds = [
-            entry.seen_term + unseen_count * tail
-            for entry, tail in zip(seen, tails)
-        ]
-        lower_bound = n - math.fsum(tails)
-        kth_upper = heapq.nsmallest(k, upper_bounds)[-1]
+        tails = state.markov_tails(row.expected_score())
+        upper_bounds = state.seen_term[:n] + (total - n) * tails
+        lower_bound = n - math.fsum(tails.tolist())
+        kth_upper = float(np.partition(upper_bounds, k - 1)[k - 1])
         halting = kth_upper < lower_bound
-        if trajectory is not None and (
-            halting or n % stride == 0 or n == total
-        ):
+        if trajectory is not None and (halting or n % stride == 0):
             trajectory.append(
                 {
                     "accessed": n,
@@ -442,21 +513,16 @@ def a_erank_prune(
             halted_early = True
             break
 
-    count("a_erank_prune.tuples_accessed", len(seen))
+    count("a_erank_prune.tuples_accessed", state.count)
     if halted_early:
         count("a_erank_prune.halted_early")
-    curtailed = AttributeLevelRelation(
-        sorted(
-            (entry.row for entry in seen),
-            key=lambda candidate: relation.position_of(candidate.tid),
-        )
-    )
+    curtailed = state.curtailed()
     ranks = attribute_expected_ranks(curtailed, ties=ties)
     winners = _select_top_k(curtailed.tids(), ranks, k)
     metadata: dict[str, object] = {
-        "tuples_accessed": len(seen),
+        "tuples_accessed": state.count,
         "halted_early": halted_early,
-        "exact": len(seen) == total,
+        "exact": state.count == total,
         "ties": ties,
     }
     if trajectory is not None:
@@ -467,113 +533,4 @@ def a_erank_prune(
         winners,
         ranks,
         metadata,
-    )
-
-
-@profiled("a_erank_prune_lazy")
-def a_erank_prune_lazy(
-    relation: AttributeLevelRelation,
-    k: int,
-    *,
-    check_every: int = 16,
-) -> TopKResult:
-    """A-ERank-Prune with batched, universe-based bound evaluation.
-
-    The closing remark of paper Section 5.2: instead of updating every
-    seen tuple's pairwise term on each arrival (the quadratic scan of
-    :func:`a_erank_prune`), "utilize [the] value universe U of all seen
-    tuples and maintain prefix sums of the q(v) values".  Arrivals here
-    cost ``O(1)``; every ``check_every`` arrivals the bounds of *all*
-    seen tuples are recomputed from one sort + suffix sum over the seen
-    alternatives (``O(S log S)`` per check, ``S`` = seen pdf entries),
-    exactly as the exact A-ERank does over the full relation.
-
-    Semantics match :func:`a_erank_prune` under Definition 6 ties
-    (``shared``); the scan may overshoot the minimal halting prefix by
-    at most ``check_every - 1`` tuples.  Requires strictly positive
-    scores, like every Markov-bound variant.
-    """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    if check_every < 1:
-        raise RankingError(
-            f"check_every must be >= 1, got {check_every!r}"
-        )
-    if k == 0:
-        return _as_result(
-            "expected_rank_prune_lazy",
-            0,
-            [],
-            {},
-            {
-                "tuples_accessed": 0,
-                "halted_early": True,
-                "exact": False,
-                "ties": "shared",
-            },
-        )
-    for row in relation:
-        if row.score.min_value <= 0.0:
-            raise PruningBoundError(
-                f"tuple {row.tid!r} has score {row.score.min_value!r}; "
-                "A-ERank-Prune requires strictly positive scores"
-            )
-
-    access_order = relation.order_by_expected_score()
-    total = relation.size
-    seen: list[AttributeTuple] = []
-    halted_early = False
-
-    for scanned, row in enumerate(access_order, start=1):
-        seen.append(row)
-        n = len(seen)
-        if n < k or n == total or scanned % check_every:
-            continue
-
-        # One pass over the seen universe: q_seen(v) for every value.
-        oracle = _TailOracle(AttributeLevelRelation(seen))
-        expectation_bound = row.expected_score()
-        tail_sum = 0.0
-        upper_bounds = []
-        for candidate in seen:
-            seen_term = 0.0
-            tail = 0.0
-            for value, probability in candidate.score.items():
-                seen_term += probability * (
-                    oracle.mass_greater(value)
-                    - candidate.score.pr_greater(value)
-                )
-                tail += probability * min(
-                    1.0, expectation_bound / value
-                )
-            tail_sum += tail
-            upper_bounds.append(seen_term + (total - n) * tail)
-        lower_bound = n - tail_sum
-        kth_upper = heapq.nsmallest(k, upper_bounds)[-1]
-        if kth_upper < lower_bound:
-            halted_early = True
-            break
-
-    count("a_erank_prune_lazy.tuples_accessed", len(seen))
-    if halted_early:
-        count("a_erank_prune_lazy.halted_early")
-    curtailed = AttributeLevelRelation(
-        sorted(
-            seen,
-            key=lambda candidate: relation.position_of(candidate.tid),
-        )
-    )
-    ranks = attribute_expected_ranks(curtailed, ties="shared")
-    winners = _select_top_k(curtailed.tids(), ranks, k)
-    return _as_result(
-        "expected_rank_prune_lazy",
-        k,
-        winners,
-        ranks,
-        {
-            "tuples_accessed": len(seen),
-            "halted_early": halted_early,
-            "exact": len(seen) == total,
-            "ties": "shared",
-        },
     )

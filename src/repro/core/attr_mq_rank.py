@@ -44,6 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.attr_expected_rank import _SeenState
 from repro.core.beats import value_beat_probability
 from repro.core.columnar import (
     attribute_rank_pmf_matrix,
@@ -54,6 +55,7 @@ from repro.core.rank_distribution import RankDistribution
 from repro.core.result import RankedItem, TopKResult
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation
+from repro.models.pdf import DiscretePDF
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.obs import count, emit_event, profiled
 from repro.stats.poisson_binomial import (
@@ -282,38 +284,27 @@ def _unseen_quantile_lower(
 
 
 def _seen_quantile_upper(
-    candidate: "_SeenTuple",
-    seen,
+    score: DiscretePDF,
+    seen_beats: Sequence[Sequence[float]],
     unseen_count: int,
     expectation_bound: float,
     phi: float,
     markov_cap: int,
-    ties: TieRule,
 ) -> int:
     """Certified upper bound on one seen tuple's phi-quantile rank.
 
     Conditioned on ``X_i = v``, unseen tuples each beat ``v`` with
     probability at most ``m(v) = min(1, E[X_n] / v)``, so the rank is
     stochastically dominated by ``PB_seen(v) + Binomial(N - n, m(v))``
-    and ``Pr[R <= q] >= sum_v p_v F_{PB_v * Bin_v}(q)``.  The returned
-    bound never exceeds ``markov_cap`` (the pure-Markov bound).
+    and ``Pr[R <= q] >= sum_v p_v F_{PB_v * Bin_v}(q)``.
+    ``seen_beats[l]`` holds the other seen tuples' beat probabilities
+    against the ``l``-th support value (the ``PB_seen(v)``
+    parameters).  The returned bound
+    never exceeds ``markov_cap`` (the pure-Markov bound).
     """
-    from repro.core.beats import value_beat_probability
-
     components: list[tuple[float, np.ndarray]] = []
     horizon = markov_cap + 1
-    for value, probability in candidate.row.score.items():
-        params = [
-            value_beat_probability(
-                other.row.score,
-                value,
-                challenger_is_earlier=other.position
-                < candidate.position,
-                ties=ties,
-            )
-            for other in seen
-            if other is not candidate
-        ]
+    for (value, probability), params in zip(score.items(), seen_beats):
         seen_pmf = poisson_binomial_pmf(params)
         tail_probability = min(1.0, expectation_bound / value)
         unseen_pmf = binomial_pmf(unseen_count, tail_probability)
@@ -379,39 +370,19 @@ def a_mqrank_prune(
                 "the Markov bounds require strictly positive scores"
             )
 
-    # Reuse A-ERank-Prune's incremental seen-term machinery.
-    from repro.core.attr_expected_rank import _SeenTuple
-    from repro.core.beats import beat_probability
-
-    access_order = relation.order_by_expected_score()
     total = relation.size
-    seen: list[_SeenTuple] = []
+    state = _SeenState(relation, ties)
     halted_early = False
 
-    for scanned, row in enumerate(access_order, start=1):
-        arriving = _SeenTuple(row, relation.position_of(row.tid))
-        for other in seen:
-            other.seen_term += beat_probability(
-                arriving.row.score,
-                other.row.score,
-                challenger_is_earlier=arriving.position < other.position,
-                ties=ties,
-            )
-            arriving.seen_term += beat_probability(
-                other.row.score,
-                arriving.row.score,
-                challenger_is_earlier=other.position < arriving.position,
-                ties=ties,
-            )
-        seen.append(arriving)
-
-        n = len(seen)
-        if n < max(k, 1) or n == total or scanned % check_every:
+    for row in state.rows:
+        state.admit()
+        n = state.count
+        if n < max(k, 1) or n == total or n % check_every:
             continue
         expectation_bound = row.expected_score()
         unseen_count = total - n
         lower = _unseen_quantile_lower(
-            [entry.row for entry in seen], expectation_bound, phi
+            state.rows[:n], expectation_bound, phi
         )
         if k == 0:
             halted_early = True
@@ -421,28 +392,30 @@ def a_mqrank_prune(
         # Rank every seen tuple by its cheap Markov quantile bound and
         # refine only the k most promising with the conditional
         # Poisson-binomial + Binomial construction.
-        markov_uppers = []
-        for entry in seen:
-            rank_upper = entry.seen_term + unseen_count * entry.markov_tail(
-                expectation_bound
-            )
-            markov_uppers.append(
-                (_markov_quantile_upper(rank_upper, phi), entry)
-            )
-        markov_uppers.sort(key=lambda pair: pair[0])
-        candidates = markov_uppers[:k]
+        rank_uppers = state.seen_term[:n] + unseen_count * (
+            state.markov_tails(expectation_bound)
+        )
+        candidates = sorted(
+            (
+                (_markov_quantile_upper(rank_upper, phi), index)
+                for index, rank_upper in enumerate(rank_uppers.tolist())
+            ),
+            key=lambda pair: pair[0],
+        )[:k]
         if tight_bounds:
             uppers = [
                 _seen_quantile_upper(
-                    entry,
-                    seen,
+                    state.rows[index].score,
+                    [
+                        state.value_beats(value, index)
+                        for value in state.rows[index].score.values
+                    ],
                     unseen_count,
                     expectation_bound,
                     phi,
                     markov_cap,
-                    ties,
                 )
-                for markov_cap, entry in candidates
+                for markov_cap, index in candidates
             ]
         else:
             uppers = [markov_cap for markov_cap, _ in candidates]
@@ -450,15 +423,10 @@ def a_mqrank_prune(
             halted_early = True
             break
 
-    count("a_mqrank_prune.tuples_accessed", len(seen))
+    count("a_mqrank_prune.tuples_accessed", state.count)
     if halted_early:
         count("a_mqrank_prune.halted_early")
-    curtailed = AttributeLevelRelation(
-        sorted(
-            (entry.row for entry in seen),
-            key=lambda candidate: relation.position_of(candidate.tid),
-        )
-    )
+    curtailed = state.curtailed()
     exact_on_seen = a_mqrank(curtailed, k, phi=phi, ties=ties)
     return TopKResult(
         method=f"{_method_name(phi)}_prune",
@@ -466,9 +434,9 @@ def a_mqrank_prune(
         items=exact_on_seen.items,
         statistics=exact_on_seen.statistics,
         metadata={
-            "tuples_accessed": len(seen),
+            "tuples_accessed": state.count,
             "halted_early": halted_early,
-            "exact": len(seen) == total,
+            "exact": state.count == total,
             "phi": phi,
             "ties": ties,
         },

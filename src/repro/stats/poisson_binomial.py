@@ -21,6 +21,7 @@ at a time (the pruning scans grow their seen set incrementally).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -69,6 +70,24 @@ def poisson_binomial_pmf(probabilities: Iterable[float]) -> np.ndarray:
     return pmf
 
 
+@functools.lru_cache(maxsize=8)
+def _log_binomial_coefficients(count: int) -> np.ndarray:
+    """``log C(count, j)`` for ``j = 0..count`` (read-only, memoized).
+
+    The pruning scans ask for one ``count`` (the unseen tuples) dozens
+    of times per halting check; ``lgamma(count - j + 1)`` is the
+    ``lgamma(j + 1)`` vector reversed, so one scalar pass serves both.
+    """
+    log_factorials = np.array(
+        [math.lgamma(j + 1) for j in range(count + 1)]
+    )
+    coefficients = (
+        math.lgamma(count + 1) - log_factorials - log_factorials[::-1]
+    )
+    coefficients.flags.writeable = False
+    return coefficients
+
+
 def binomial_pmf(count: int, probability: float) -> np.ndarray:
     """``Binomial(count, probability)`` pmf in ``O(count)`` time.
 
@@ -91,13 +110,8 @@ def binomial_pmf(count: int, probability: float) -> np.ndarray:
         pmf[count] = 1.0
         return pmf
     js = np.arange(count + 1)
-    log_coefficients = (
-        math.lgamma(count + 1)
-        - np.array([math.lgamma(j + 1) for j in js])
-        - np.array([math.lgamma(count - j + 1) for j in js])
-    )
     log_pmf = (
-        log_coefficients
+        _log_binomial_coefficients(count)
         + js * math.log(probability)
         + (count - js) * math.log1p(-probability)
     )

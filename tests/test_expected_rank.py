@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import brute_force_expected_ranks
 from repro.core import (
     a_erank,
     a_erank_prune,
-    a_erank_prune_lazy,
     attribute_expected_ranks,
     attribute_expected_ranks_quadratic,
     attribute_expected_ranks_vectorized,
@@ -18,6 +19,8 @@ from repro.core import (
     tuple_expected_ranks_quadratic,
     tuple_expected_ranks_vectorized,
 )
+from repro.core.attr_expected_rank import _SeenState
+from repro.core.beats import value_beat_probability
 from repro.datagen import (
     generate_attribute_relation,
     generate_tuple_relation,
@@ -30,6 +33,12 @@ from repro.models import (
     ExclusionRule,
     TupleLevelRelation,
     TupleLevelTuple,
+)
+from repro.obs import MetricsRegistry, set_registry
+from tests.oracles.pruning import (
+    a_erank_prune_pairwise,
+    pairwise_arrivals,
+    prune_relations,
 )
 
 
@@ -245,9 +254,83 @@ class TestAErankPrune:
             assert item.statistic <= exact[item.tid] + 1e-9
 
 
-class TestAErankPruneLazy:
-    """The batched universe-based variant (paper Section 5.2's closing
-    optimisation) agrees with the incremental scan."""
+def _trajectory_bits(result):
+    return [
+        (
+            point["accessed"],
+            point["kth_rank"].hex(),
+            point["unseen_bound"].hex(),
+        )
+        for point in result.metadata["prune_trajectory"]
+    ]
+
+
+def _prune_both(relation, k, ties="shared"):
+    """Columnar scan and pairwise oracle, with observability on."""
+    previous = set_registry(MetricsRegistry(enabled=True))
+    try:
+        return (
+            a_erank_prune(relation, k, ties=ties),
+            a_erank_prune_pairwise(relation, k, ties=ties),
+        )
+    finally:
+        set_registry(previous)
+
+
+class TestAErankPruneParity:
+    """The columnar seen-state against the pairwise scan it replaced:
+    same prefix, same answer, bit-identical bound trajectory."""
+
+    @given(
+        relation=prune_relations(),
+        k_choice=st.sampled_from(["1", "5", "N"]),
+        ties=st.sampled_from(["shared", "by_index"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_columnar_matches_pairwise_oracle(
+        self, relation, k_choice, ties
+    ):
+        k = relation.size if k_choice == "N" else int(k_choice)
+        columnar, oracle = _prune_both(relation, k, ties)
+        assert columnar.tids() == oracle.tids()
+        assert columnar.statistics == oracle.statistics
+        assert columnar.metadata == oracle.metadata
+        assert _trajectory_bits(columnar) == _trajectory_bits(oracle)
+
+    @given(
+        relation=prune_relations(),
+        ties=st.sampled_from(["shared", "by_index"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_seen_state_matches_pairwise_sums(self, relation, ties):
+        """Every seen tuple's sum, Markov tail and value-beat vector,
+        after every arrival — not only the k-th bound the trajectory
+        shows."""
+        state = _SeenState(relation, ties)
+        arrivals = pairwise_arrivals(relation, ties)
+        for row, seen in zip(state.rows, arrivals):
+            state.admit()
+            assert state.seen_term[: state.count].tolist() == [
+                entry.seen_term for entry in seen
+            ]
+            bound = row.expected_score()
+            assert state.markov_tails(bound).tolist() == [
+                entry.markov_tail(bound) for entry in seen
+            ]
+            for index in {0, state.count - 1}:
+                candidate = seen[index]
+                for value in candidate.row.score.values:
+                    assert state.value_beats(value, index) == [
+                        value_beat_probability(
+                            other.row.score,
+                            value,
+                            challenger_is_earlier=other.position
+                            < candidate.position,
+                            ties=ties,
+                        )
+                        for other in seen
+                        if other is not candidate
+                    ]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_exact_topk(self, seed):
@@ -255,20 +338,18 @@ class TestAErankPruneLazy:
             300, pdf_size=4, seed=seed
         )
         exact = a_erank(relation, 10)
-        lazy = a_erank_prune_lazy(relation, 10)
-        assert lazy.tids() == exact.tids()
+        columnar, oracle = _prune_both(relation, 10)
+        assert columnar.tids() == oracle.tids() == exact.tids()
+        assert _trajectory_bits(columnar) == _trajectory_bits(oracle)
 
-    def test_access_overshoot_bounded(self):
+    def test_halts_at_oracle_prefix(self):
         relation = generate_attribute_relation(
             800, pdf_size=4, score_distribution="zipf", seed=1
         )
-        incremental = a_erank_prune(relation, 5)
-        lazy = a_erank_prune_lazy(relation, 5, check_every=16)
-        assert (
-            lazy.metadata["tuples_accessed"]
-            < incremental.metadata["tuples_accessed"] + 16
-        )
-        assert lazy.metadata["halted_early"]
+        for ties in ("shared", "by_index"):
+            columnar, oracle = _prune_both(relation, 5, ties)
+            assert columnar.metadata["halted_early"]
+            assert columnar.metadata == oracle.metadata
 
     def test_rejects_nonpositive_scores(self):
         relation = AttributeLevelRelation(
@@ -277,19 +358,22 @@ class TestAErankPruneLazy:
                 AttributeTuple("b", DiscretePDF.point(3)),
             ]
         )
-        with pytest.raises(PruningBoundError):
-            a_erank_prune_lazy(relation, 1)
+        for scan in (a_erank_prune, a_erank_prune_pairwise):
+            with pytest.raises(PruningBoundError):
+                scan(relation, 1)
 
     def test_parameter_validation(self, fig2):
-        with pytest.raises(RankingError):
-            a_erank_prune_lazy(fig2, -1)
-        with pytest.raises(RankingError):
-            a_erank_prune_lazy(fig2, 1, check_every=0)
+        for scan in (a_erank_prune, a_erank_prune_pairwise):
+            with pytest.raises(RankingError):
+                scan(fig2, -1)
+            with pytest.raises(ValueError):
+                scan(fig2, 1, ties="nearest")
 
     def test_k_zero(self, fig2):
-        result = a_erank_prune_lazy(fig2, 0)
-        assert len(result) == 0
-        assert result.metadata["tuples_accessed"] == 0
+        columnar, oracle = _prune_both(fig2, 0)
+        assert len(columnar) == 0
+        assert columnar.metadata == oracle.metadata
+        assert columnar.metadata["tuples_accessed"] == 0
 
 
 class TestTupleExactAgainstOracle:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import brute_force_rank_distributions
 from repro.core import (
@@ -28,6 +30,7 @@ from repro.models import (
     TupleLevelRelation,
     TupleLevelTuple,
 )
+from tests.oracles.pruning import a_mqrank_prune_pairwise, prune_relations
 
 
 class TestAttributeRankDistributions:
@@ -151,6 +154,21 @@ class TestQuantileRanking:
 
 
 class TestAttributeMQPrune:
+    @given(
+        relation=prune_relations(),
+        k=st.sampled_from([1, 3]),
+        phi=st.sampled_from([0.5, 0.9]),
+        ties=st.sampled_from(["shared", "by_index"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columnar_matches_pairwise_oracle(self, relation, k, phi, ties):
+        options = dict(phi=phi, ties=ties, check_every=2)
+        columnar = a_mqrank_prune(relation, k, **options)
+        oracle = a_mqrank_prune_pairwise(relation, k, **options)
+        assert columnar.tids() == oracle.tids()
+        assert columnar.statistics == oracle.statistics
+        assert columnar.metadata == oracle.metadata
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_exact(self, seed):
         relation = generate_attribute_relation(

@@ -92,6 +92,28 @@ class TestBinomialPmf:
         assert pmf.sum() == pytest.approx(1.0)
         assert pmf.argmax() in (64, 65, 66)  # mode near n*p = 65
 
+    def test_bit_identical_to_per_entry_lgamma(self):
+        """The memoized coefficients change no bit of the pmf, and a
+        caller mutating its result cannot corrupt the next call."""
+        for count in (1, 7, 80, 1500):
+            js = np.arange(count + 1)
+            coefficients = (
+                math.lgamma(count + 1)
+                - np.array([math.lgamma(j + 1) for j in js])
+                - np.array([math.lgamma(count - j + 1) for j in js])
+            )
+            for probability in (1e-4, 0.3, 0.999):
+                reference = np.exp(
+                    coefficients
+                    + js * math.log(probability)
+                    + (count - js) * math.log1p(-probability)
+                )
+                reference = reference / reference.sum()
+                pmf = binomial_pmf(count, probability)
+                assert pmf.tobytes() == reference.tobytes()
+                pmf[0] = -1.0
+                assert binomial_pmf(count, probability)[0] >= 0.0
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             binomial_pmf(-1, 0.5)
