@@ -8,7 +8,6 @@ from repro.core.attr_expected_rank import (
     a_erank,
     a_erank_prune,
     attribute_expected_ranks,
-    attribute_expected_ranks_quadratic,
     attribute_expected_ranks_vectorized,
 )
 from repro.core.attr_mq_rank import (
@@ -72,7 +71,6 @@ from repro.core.tuple_expected_rank import (
     t_erank,
     t_erank_prune,
     tuple_expected_ranks,
-    tuple_expected_ranks_quadratic,
     tuple_expected_ranks_vectorized,
 )
 from repro.core.tuple_mq_rank import (
@@ -97,7 +95,6 @@ __all__ = [
     "a_mqrank",
     "a_mqrank_prune",
     "attribute_expected_ranks",
-    "attribute_expected_ranks_quadratic",
     "attribute_expected_ranks_vectorized",
     "attribute_rank_distribution",
     "attribute_rank_distributions",
@@ -137,7 +134,6 @@ __all__ = [
     "t_mqrank",
     "t_mqrank_prune",
     "tuple_expected_ranks",
-    "tuple_expected_ranks_quadratic",
     "tuple_expected_ranks_vectorized",
     "tuple_present_rank_pmf",
     "tuple_present_rank_pmf_matrix",

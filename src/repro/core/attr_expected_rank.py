@@ -7,7 +7,11 @@ Two algorithms:
   ``r(t_i) = sum_{j != i} Pr[X_j > X_i]``, which equation (4) rewrites
   as ``sum_l p_{i,l} (q(v_{i,l}) - Pr[X_i > v_{i,l}])`` with
   ``q(v) = sum_j Pr[X_j > v]`` precomputed once for the whole value
-  universe by a sort and a suffix sum.
+  universe by a sort and a suffix sum.  One columnar pass over
+  :class:`~repro.core.columnar.AttributeColumns`
+  (:func:`attribute_expected_ranks`) is the only production kernel;
+  the scalar pass and the ``O(N^2)`` BFS it is checked against live in
+  ``tests/oracles/expected_rank.py``.
 
 * :func:`a_erank_prune` — the early-termination scan (Section 5.2).
   Tuples arrive in decreasing expected-score order; Markov's
@@ -31,15 +35,12 @@ Two algorithms:
 
 from __future__ import annotations
 
-import bisect
-import heapq
 import math
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.beats import beat_probability
-from repro.core.result import RankedItem, TopKResult
+from repro.core.columnar import AttributeColumns, equal_runs, fold_runs
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation, AttributeTuple
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -47,68 +48,10 @@ from repro.obs import count, get_registry, profiled
 
 __all__ = [
     "attribute_expected_ranks",
-    "attribute_expected_ranks_quadratic",
     "attribute_expected_ranks_vectorized",
     "a_erank",
     "a_erank_prune",
 ]
-
-
-class _TailOracle:
-    """``q(v) = sum_j Pr[X_j > v]`` over the whole relation.
-
-    Built once in ``O(S log S)`` where ``S = sum_i s_i``; each query is
-    a binary search.  Also answers the total mass *equal* to a value
-    among tuples with insertion position below a given one, which the
-    ``by_index`` tie rule needs.
-    """
-
-    def __init__(self, relation: AttributeLevelRelation) -> None:
-        mass_at: dict[float, float] = {}
-        positions_at: dict[float, list[tuple[int, float]]] = {}
-        for position, row in enumerate(relation):
-            for value, probability in row.score.items():
-                mass_at[value] = mass_at.get(value, 0.0) + probability
-                positions_at.setdefault(value, []).append(
-                    (position, probability)
-                )
-        self._values: list[float] = sorted(mass_at)
-        # _suffix[i] = total mass at values strictly greater than
-        # _values[i - 1]; _suffix[len] = 0.
-        suffix = [0.0] * (len(self._values) + 1)
-        for index in range(len(self._values) - 1, -1, -1):
-            suffix[index] = suffix[index + 1] + mass_at[self._values[index]]
-        self._suffix = suffix
-        self._prefix_by_value: dict[
-            float, tuple[list[int], list[float]]
-        ] = {}
-        for value, entries in positions_at.items():
-            entries.sort()
-            cumulative: list[float] = []
-            running = 0.0
-            for _, probability in entries:
-                running += probability
-                cumulative.append(running)
-            self._prefix_by_value[value] = (
-                [position for position, _ in entries],
-                cumulative,
-            )
-
-    def mass_greater(self, value: float) -> float:
-        """``q(value)``: total probability mass strictly above."""
-        index = bisect.bisect_right(self._values, value)
-        return self._suffix[index]
-
-    def equal_mass_before(self, value: float, position: int) -> float:
-        """Mass exactly at ``value`` among tuples inserted earlier."""
-        entry = self._prefix_by_value.get(value)
-        if entry is None:
-            return 0.0
-        positions, cumulative = entry
-        index = bisect.bisect_left(positions, position)
-        if index == 0:
-            return 0.0
-        return cumulative[index - 1]
 
 
 @profiled("a_erank")
@@ -119,25 +62,47 @@ def attribute_expected_ranks(
 ) -> dict[str, float]:
     """Exact expected rank of every tuple — the core of A-ERank.
 
+    One stable sort of the flattened pdf entries by value gives
+    ``q(v)``, the mass strictly above each distinct value, as a
+    reversed cumulative sum over the per-value masses; each tuple's
+    rank is then ``math.fsum`` over its own entries of
+    ``p_{i,l} (q(v_{i,l}) - Pr[X_i > v_{i,l}])`` (equation 4).
     ``O(S log S)`` where ``S`` is the total pdf size; ``O(N log N)``
     for constant-size pdfs, matching the paper.
+
+    Every sum folds in the order of the scalar reference
+    (``tests/oracles/expected_rank.py``): per-value masses left to
+    right in relation order, ``q`` from the top value down.  The ranks
+    are therefore bit-identical to it, and so are the answer digests.
     """
     _check_ties(ties)
     count("a_erank.tuples_accessed", relation.size)
-    oracle = _TailOracle(relation)
-    ranks: dict[str, float] = {}
-    for position, row in enumerate(relation):
-        terms = []
-        for value, probability in row.score.items():
-            others_above = oracle.mass_greater(value) - row.score.pr_greater(
-                value
-            )
-            if ties == "by_index":
-                # Earlier tuples tied at this value also beat us.
-                others_above += oracle.equal_mass_before(value, position)
-            terms.append(probability * others_above)
-        ranks[row.tid] = math.fsum(terms)
-    return ranks
+    if not relation.size:
+        return {}
+    columns = AttributeColumns.from_relation(relation)
+    # Stable: the entries of one value stay in relation order.
+    order = np.argsort(columns.values, kind="stable")
+    values = columns.values[order]
+    masses = columns.probs[order]
+    starts, sizes = equal_runs(values)
+    # ``before`` is the mass of earlier tuples at the same value: the
+    # by_index tie extra.
+    value_mass = np.zeros(starts.size)
+    before = fold_runs(starts, sizes, masses, value_mass)
+    mass_above = np.cumsum(value_mass[::-1])[::-1]
+    q = np.repeat(np.append(mass_above[1:], 0.0), sizes)
+    others_above = q - columns.greater[order]
+    if ties == "by_index":
+        # Earlier tuples tied at this value also beat us.
+        others_above += before
+    terms = np.empty(values.size)
+    terms[order] = masses * others_above
+    flat = terms.tolist()
+    bounds = columns.offsets.tolist()
+    return {
+        tid: math.fsum(flat[bounds[index] : bounds[index + 1]])
+        for index, tid in enumerate(columns.tids)
+    }
 
 
 @profiled("a_erank_vectorized")
@@ -152,9 +117,11 @@ def attribute_expected_ranks_vectorized(
     All ``S = sum_i s_i`` (value, probability) pairs are flattened into
     arrays; one argsort delivers ``q(v)`` (global mass strictly above
     each value) and the per-tuple own-mass correction, so the whole
-    computation is a handful of vector operations.  Used by the large
-    scalability runs; the scalar version stays as the readable
-    reference and the two are cross-checked in the tests.
+    computation is a handful of vector operations.  Not on the
+    production path: ``np.add.at`` sums in a different order, so its
+    ranks can differ from :func:`attribute_expected_ranks` in the last
+    bit.  Kept as an independent cross-check for the end-to-end
+    benchmark and the large scalability runs.
     """
     _check_ties(ties)
     count("a_erank_vectorized.tuples_accessed", relation.size)
@@ -239,69 +206,6 @@ def attribute_expected_ranks_vectorized(
     }
 
 
-@profiled("a_erank_bfs")
-def attribute_expected_ranks_quadratic(
-    relation: AttributeLevelRelation,
-    *,
-    ties: TieRule = "shared",
-) -> dict[str, float]:
-    """The paper's brute-force-search (BFS) baseline: direct evaluation
-    of equation (3), ``r(t_i) = sum_{j != i} Pr[X_j > X_i]``.
-
-    ``O(N^2)`` pairwise comparisons — the comparison point of the
-    scalability experiment (E3), kept deliberately naive.
-    """
-    _check_ties(ties)
-    ranks: dict[str, float] = {}
-    for position, row in enumerate(relation):
-        total = 0.0
-        for other_position, other in enumerate(relation):
-            if other_position == position:
-                continue
-            total += beat_probability(
-                other.score,
-                row.score,
-                challenger_is_earlier=other_position < position,
-                ties=ties,
-            )
-        ranks[row.tid] = total
-    return ranks
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    ranks: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    """The k tuples with smallest rank statistic, ties by input order."""
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k,
-        ranks.items(),
-        key=lambda item: (item[1], order[item[0]]),
-    )
-
-
-def _as_result(
-    method: str,
-    k: int,
-    winners: Sequence[tuple[str, float]],
-    statistics: dict[str, float],
-    metadata: dict[str, object],
-) -> TopKResult:
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=method,
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata=metadata,
-    )
-
-
 def a_erank(
     relation: AttributeLevelRelation,
     k: int,
@@ -315,13 +219,11 @@ def a_erank(
     """
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
-    ranks = attribute_expected_ranks(relation, ties=ties)
-    winners = _select_top_k(relation.tids(), ranks, k)
-    return _as_result(
+    return top_k_result(
         "expected_rank",
         k,
-        winners,
-        ranks,
+        attribute_expected_ranks(relation, ties=ties),
+        relation.tids(),
         {"tuples_accessed": relation.size, "exact": True, "ties": ties},
     )
 
@@ -461,11 +363,11 @@ def a_erank_prune(
         raise RankingError(f"k must be >= 0, got {k!r}")
     _check_ties(ties)
     if k == 0:
-        return _as_result(
+        return top_k_result(
             "expected_rank_prune",
             0,
-            [],
             {},
+            (),
             {
                 "tuples_accessed": 0,
                 "halted_early": True,
@@ -517,8 +419,6 @@ def a_erank_prune(
     if halted_early:
         count("a_erank_prune.halted_early")
     curtailed = state.curtailed()
-    ranks = attribute_expected_ranks(curtailed, ties=ties)
-    winners = _select_top_k(curtailed.tids(), ranks, k)
     metadata: dict[str, object] = {
         "tuples_accessed": state.count,
         "halted_early": halted_early,
@@ -527,10 +427,10 @@ def a_erank_prune(
     }
     if trajectory is not None:
         metadata["prune_trajectory"] = tuple(trajectory)
-    return _as_result(
+    return top_k_result(
         "expected_rank_prune",
         k,
-        winners,
-        ranks,
+        attribute_expected_ranks(curtailed, ties=ties),
+        curtailed.tids(),
         metadata,
     )

@@ -38,7 +38,6 @@ the same surrogate contract as A-ERank-Prune.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Sequence
 
@@ -52,7 +51,7 @@ from repro.core.columnar import (
     rank_quantiles,
 )
 from repro.core.rank_distribution import RankDistribution
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.pdf import DiscretePDF
@@ -130,44 +129,26 @@ def attribute_rank_distributions(
     relation: AttributeLevelRelation,
     *,
     ties: TieRule = "by_index",
-    engine: str = "gf",
 ) -> dict[str, RankDistribution]:
     """Exact rank distributions of every tuple.
 
-    Dispatches to the columnar generating-function sweep
-    (:mod:`repro.core.columnar`, ``O(N * S)``) by default;
-    ``engine="dp"`` selects the paper's cubic dynamic program.  Both
-    engines produce the same distributions to within ``1e-9``.  A
-    sweep result that loses probability mass beyond the
+    Runs the columnar generating-function sweep
+    (:mod:`repro.core.columnar`, ``O(N * S)``).  A sweep result that
+    loses probability mass beyond the
     :data:`~repro.core.columnar.MASS_TOLERANCE` guard is discarded and
-    recomputed with the DP (``kernel.gf_fallback`` counts how often).
+    recomputed with :func:`attribute_rank_distributions_dp`, the
+    paper's cubic dynamic program (``kernel.gf_fallback`` counts how
+    often).
     """
-    if engine == "gf":
-        matrix = attribute_rank_pmf_matrix(relation, ties=ties)
-        deviation = mass_violation(matrix)
-        if deviation is not None:
-            _gf_distress("attribute_rank_distributions", deviation)
-            return attribute_rank_distributions_dp(relation, ties=ties)
-        return {
-            tid: RankDistribution(matrix[position])
-            for position, tid in enumerate(relation.tids())
-        }
-    if engine == "dp":
+    matrix = attribute_rank_pmf_matrix(relation, ties=ties)
+    deviation = mass_violation(matrix)
+    if deviation is not None:
+        _gf_distress("attribute_rank_distributions", deviation)
         return attribute_rank_distributions_dp(relation, ties=ties)
-    raise RankingError(
-        f"unknown engine {engine!r}; expected 'gf' or 'dp'"
-    )
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    statistics: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k, statistics.items(), key=lambda item: (item[1], order[item[0]])
-    )
+    return {
+        tid: RankDistribution(matrix[position])
+        for position, tid in enumerate(relation.tids())
+    }
 
 
 def _method_name(phi: float) -> str:
@@ -210,17 +191,12 @@ def a_mqrank(
             tid: float(dist.quantile(phi))
             for tid, dist in distributions.items()
         }
-    winners = _select_top_k(relation.tids(), statistics, k)
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=_method_name(phi),
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={
+    return top_k_result(
+        _method_name(phi),
+        k,
+        statistics,
+        relation.tids(),
+        {
             "tuples_accessed": relation.size,
             "exact": True,
             "phi": phi,

@@ -31,12 +31,17 @@ The public functions mirror the legacy DP entry points and agree with
 them (and with the possible-worlds oracle) to within ``1e-9`` total
 variation — the parity tests in ``tests/test_columnar_gf.py`` and the
 speedup gates in ``benchmarks/bench_e09*/e10*`` pin both claims.
+The recurrences run on :func:`scipy.signal.lfilter`, imported on the
+first sweep so that ``import repro`` stays SciPy-free.
+:class:`AttributeColumns` is also the substrate of the A-ERank kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Union
 
 import numpy as np
@@ -48,17 +53,14 @@ from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation
 from repro.obs import profiled
 
-try:  # SciPy is present in the dev image but is not a declared dep.
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _lfilter = None
-
 __all__ = [
     "AttributeColumns",
     "TupleColumns",
     "MASS_TOLERANCE",
     "convolve_bernoulli",
     "deconvolve_bernoulli",
+    "equal_runs",
+    "fold_runs",
     "mass_violation",
     "product_polynomial",
     "rank_quantiles",
@@ -81,9 +83,6 @@ _QUANTILE_TOL = 1e-9
 #: the same tolerance :class:`RankDistribution` enforces on construction.
 MASS_TOLERANCE = 1e-6
 
-#: Chunk width of the numpy fallback scan in :func:`_first_order`.
-_SCAN_BLOCK = 64
-
 #: Rebuild the product polynomial after this many divisions.  Division
 #: noise compounds exponentially across chained divide/multiply steps —
 #: fastest once the polynomial's support narrows to a high-offset
@@ -102,13 +101,16 @@ class AttributeColumns:
     """Flat-array image of an :class:`AttributeLevelRelation`.
 
     The per-tuple score pdfs are concatenated tuple-major: entry ``e``
-    of ``values``/``probs`` belongs to tuple ``owners[e]`` and the
-    entries of tuple ``i`` occupy ``offsets[i]:offsets[i + 1]`` with
-    values sorted ascending (the :class:`DiscretePDF` invariant).
+    of ``values``/``probs``/``greater`` belongs to tuple ``owners[e]``
+    and the entries of tuple ``i`` occupy ``offsets[i]:offsets[i + 1]``
+    with values sorted ascending (the :class:`DiscretePDF` invariant).
+    ``greater[e]`` is ``Pr[X_i > values[e]]``, copied from the pdf's
+    own suffix sums.
     """
 
     values: np.ndarray
     probs: np.ndarray
+    greater: np.ndarray
     offsets: np.ndarray
     owners: np.ndarray
     tids: tuple[str, ...]
@@ -122,26 +124,28 @@ class AttributeColumns:
     def from_relation(
         cls, relation: AttributeLevelRelation
     ) -> "AttributeColumns":
+        pdfs = [row.score for row in relation]
         sizes = np.fromiter(
-            (row.score.support_size for row in relation),
+            (pdf.support_size for pdf in pdfs),
             dtype=np.int64,
-            count=relation.size,
+            count=len(pdfs),
         )
-        offsets = np.zeros(relation.size + 1, dtype=np.int64)
+        offsets = np.zeros(len(pdfs) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        total = int(offsets[-1])
-        values = np.empty(total)
-        probs = np.empty(total)
-        for position, row in enumerate(relation):
-            start, stop = offsets[position], offsets[position + 1]
-            values[start:stop] = row.score.values
-            probs[start:stop] = row.score.probabilities
-        owners = np.repeat(np.arange(relation.size, dtype=np.int64), sizes)
+
+        def flat(column: str) -> np.ndarray:
+            return np.fromiter(
+                chain.from_iterable(map(attrgetter(column), pdfs)),
+                dtype=float,
+                count=int(offsets[-1]),
+            )
+
         return cls(
-            values=values,
-            probs=probs,
+            values=flat("values"),
+            probs=flat("probabilities"),
+            greater=flat("greater_probabilities"),
             offsets=offsets,
-            owners=owners,
+            owners=np.repeat(np.arange(len(pdfs), dtype=np.int64), sizes),
             tids=relation.tids(),
         )
 
@@ -221,6 +225,57 @@ class TupleColumns:
 
 
 # ----------------------------------------------------------------------
+# Order-preserving group sums for the expected-rank kernels
+# ----------------------------------------------------------------------
+def equal_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of every run of equal, sorted ``keys``.
+
+    Examples
+    --------
+    >>> starts, sizes = equal_runs(np.array([1.0, 1.0, 2.0, 5.0, 5.0]))
+    >>> starts.tolist(), sizes.tolist()
+    ([0, 2, 3], [2, 1, 2])
+    """
+    starts = np.flatnonzero(
+        np.concatenate(([True], np.not_equal(keys[1:], keys[:-1])))
+    )
+    return starts, np.diff(np.append(starts, keys.size))
+
+
+def fold_runs(
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    masses: np.ndarray,
+    totals: np.ndarray,
+) -> np.ndarray:
+    """Add each run of ``masses`` onto ``totals`` left to right.
+
+    Run ``g`` is ``masses[starts[g] : starts[g] + sizes[g]]`` and is
+    folded onto ``totals[g]`` in place, one element at a time, exactly
+    as a Python ``+=`` loop would — so the sums are bit-identical to
+    one.  Returns every element's running total just before it was
+    added.  One vector step per position within a run: a single step
+    when every run has one element.
+
+    Examples
+    --------
+    >>> totals = np.array([0.0, 10.0])
+    >>> fold_runs(np.array([0, 2]), np.array([2, 1]),
+    ...           np.array([1.0, 2.0, 4.0]), totals).tolist()
+    [0.0, 1.0, 10.0]
+    >>> totals.tolist()
+    [3.0, 14.0]
+    """
+    before = np.empty(masses.size)
+    for offset in range(int(sizes.max(initial=0))):
+        runs = np.flatnonzero(sizes > offset)
+        entries = starts[runs] + offset
+        before[entries] = totals[runs]
+        totals[runs] += masses[entries]
+    return before
+
+
+# ----------------------------------------------------------------------
 # Linear-factor polynomial arithmetic
 # ----------------------------------------------------------------------
 def _clamped(probability: float) -> float:
@@ -250,34 +305,13 @@ def convolve_bernoulli(poly: np.ndarray, probability: float) -> np.ndarray:
 def _first_order(ratio: float, driving: np.ndarray) -> np.ndarray:
     """Solve ``y[k] = driving[k] + ratio * y[k - 1]`` with ``y[-1]=0``.
 
-    Uses :func:`scipy.signal.lfilter` when SciPy is importable and a
-    blocked Toeplitz scan otherwise (same O(n) asymptotics, pure
-    numpy).  Stable whenever ``abs(ratio) <= 1``.
+    :func:`scipy.signal.lfilter`, imported on first use so that
+    ``import repro`` does not load SciPy.  Stable whenever
+    ``abs(ratio) <= 1``.
     """
-    if _lfilter is not None:
-        return np.asarray(_lfilter([1.0], [1.0, -ratio], driving))
-    n = driving.size
-    out = np.empty(n)
-    block = min(_SCAN_BLOCK, max(n, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = ratio ** np.arange(block + 1, dtype=float)
-        rows = np.arange(block)
-        lag = rows[:, None] - rows[None, :]
-        toeplitz = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
-        carry = 0.0
-        for start in range(0, n, block):
-            chunk = driving[start:start + block]
-            width = chunk.size
-            part = toeplitz[:width, :width] @ chunk
-            if carry != 0.0:
-                # Skipped for a zero carry: for |ratio| >> 1 the high
-                # powers are inf and ``0.0 * inf`` would poison the
-                # stable early lanes that the sequential recurrence
-                # (scipy's lfilter) computes exactly.
-                part += powers[1:width + 1] * carry
-            out[start:start + width] = part
-            carry = part[-1]
-    return out
+    from scipy.signal import lfilter
+
+    return np.asarray(lfilter([1.0], [1.0, -ratio], driving))
 
 
 def deconvolve_bernoulli(

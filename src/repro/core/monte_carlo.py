@@ -22,11 +22,10 @@ which is precisely the paper's case for exact algorithms.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -119,21 +118,12 @@ def mc_expected_rank(
             certified = True
             break
 
-    estimates = {tid: value / samples for tid, value in sums.items()}
-    order = {tid: index for index, tid in enumerate(relation.tids())}
-    winners = heapq.nsmallest(
-        k, estimates.items(), key=lambda item: (item[1], order[item[0]])
-    )
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method="mc_expected_rank",
-        k=k,
-        items=items,
-        statistics=estimates,
-        metadata={
+    return top_k_result(
+        "mc_expected_rank",
+        k,
+        {tid: value / samples for tid, value in sums.items()},
+        relation.tids(),
+        {
             "samples": samples,
             "certified": certified,
             "half_width": half_width,

@@ -9,12 +9,13 @@ tuples a pruning algorithm accessed.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.exceptions import RankingError
 
-__all__ = ["RankedItem", "TopKResult"]
+__all__ = ["RankedItem", "TopKResult", "top_k_result"]
 
 
 @dataclass(frozen=True)
@@ -158,3 +159,34 @@ class TopKResult:
                 entries.append(f"{item.tid}({item.statistic:.4g})")
         inner = ", ".join(entries)
         return f"{self.method} top-{self.k}: [{inner}]"
+
+
+def top_k_result(
+    method: str,
+    k: int,
+    statistics: Mapping[str, float],
+    order: Sequence[str],
+    metadata: Mapping[str, object],
+) -> TopKResult:
+    """The ``k`` tuples with the smallest statistic, best first.
+
+    Ties on the statistic are broken by position in ``order`` (the
+    relation's insertion order); ``statistics`` may cover a subset of
+    it, as when a pruning scan stops early.
+    """
+    rank_of = {tid: index for index, tid in enumerate(order)}
+    winners = heapq.nsmallest(
+        k,
+        statistics.items(),
+        key=lambda item: (item[1], rank_of[item[0]]),
+    )
+    return TopKResult(
+        method=method,
+        k=k,
+        items=tuple(
+            RankedItem(tid=tid, position=position, statistic=value)
+            for position, (tid, value) in enumerate(winners)
+        ),
+        statistics=statistics,
+        metadata=metadata,
+    )

@@ -9,7 +9,10 @@
   rank while present (independent higher tuples outside the rule),
   the same-rule mass (conditioned on absence the rule renormalises,
   and the ``(1 - p)`` factor cancels), and the rest of the world's
-  expected size while absent.
+  expected size while absent.  :func:`tuple_expected_ranks` is the
+  only production kernel: one columnar pass.  The scalar pass and the
+  ``O(N^2)`` BFS it is checked against live in
+  ``tests/oracles/expected_rank.py``.
 
 * :func:`t_erank_prune` — the early-stop scan (Section 6.2).  Only
   ``E[|W|]`` is needed up front; tuples arrive in decreasing score
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Sequence
 
-from repro.core.result import RankedItem, TopKResult
+import numpy as np
+
+from repro.core.columnar import equal_runs, fold_runs
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
@@ -34,7 +39,6 @@ from repro.obs import count, get_registry, profiled
 
 __all__ = [
     "tuple_expected_ranks",
-    "tuple_expected_ranks_quadratic",
     "tuple_expected_ranks_vectorized",
     "t_erank",
     "t_erank_prune",
@@ -107,52 +111,77 @@ def tuple_expected_ranks(
     *,
     ties: TieRule = "shared",
 ) -> dict[str, float]:
-    """Exact expected rank of every tuple — the core of T-ERank."""
+    """Exact expected rank of every tuple — the core of T-ERank.
+
+    One sort by score gives each tuple's higher mass as a prefix sum
+    over tie groups; the same-rule aggregates touch multi-member rules
+    only, and equation (8) is then one elementwise pass.  Every sum
+    folds in the order of the scalar reference
+    (``tests/oracles/expected_rank.py``) — ``math.fsum`` per tie group,
+    group sums left to right, rule members in rule order — so the
+    ranks are bit-identical to it.
+    """
     _check_ties(ties)
-    count("t_erank.tuples_accessed", relation.size)
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    ordered = relation.order_by_score()
-    expected_world_size = relation.expected_world_size()
+    size = relation.size
+    count("t_erank.tuples_accessed", size)
+    if not size:
+        return {}
+    scores = np.fromiter((row.score for row in relation), float, size)
+    probs = np.fromiter((row.probability for row in relation), float, size)
 
-    # higher_mass per tuple: exclusive prefix sums over the sorted
-    # order.  Under "shared" ties all members of a tie group share the
-    # group-start prefix (only strictly greater scores count).
-    higher_mass: dict[str, float] = {}
-    running = 0.0
-    index = 0
-    while index < len(ordered):
-        group_end = index
-        score = ordered[index].score
-        # Tie groups: exact input-score runs.  # repro: noqa RPR002
-        while group_end < len(ordered) and ordered[group_end].score == score:
-            group_end += 1
-        group_running = running
-        for offset in range(index, group_end):
-            row = ordered[offset]
-            if ties == "shared":
-                higher_mass[row.tid] = running
-            else:
-                higher_mass[row.tid] = group_running
-                group_running += row.probability
-        running += math.fsum(
-            ordered[offset].probability
-            for offset in range(index, group_end)
+    # Score-descending, ties by insertion order: order_by_score().
+    order = np.lexsort((np.arange(size), -scores))
+    sorted_scores = scores[order]
+    sorted_probs = probs[order]
+    starts, sizes = equal_runs(sorted_scores)
+    group_mass = sorted_probs[starts]
+    for group in np.flatnonzero(sizes > 1).tolist():
+        start = starts[group]
+        group_mass[group] = math.fsum(
+            sorted_probs[start : start + sizes[group]].tolist()
         )
-        index = group_end
+    # Mass strictly above each tie group, accumulated from 0.0.
+    running = np.cumsum(np.concatenate(([0.0], group_mass)))[:-1]
+    if ties == "shared":
+        higher_sorted = np.repeat(running, sizes)
+    else:
+        # Earlier members of the tie group also beat.
+        higher_sorted = fold_runs(starts, sizes, sorted_probs, running)
+    higher_mass = np.empty(size)
+    higher_mass[order] = higher_sorted
 
-    ranks: dict[str, float] = {}
-    for row in relation:
-        same_rule_higher, same_rule_total = _rule_aggregates(
-            relation, row, positions, ties
-        )
-        ranks[row.tid] = _expected_rank(
-            row,
-            higher_mass[row.tid],
-            same_rule_higher,
-            same_rule_total,
-            expected_world_size,
-        )
-    return ranks
+    # Same-rule sums, folded in rule-member order; singleton rules
+    # contribute nothing.
+    same_rule_higher = np.zeros(size)
+    same_rule_total = np.zeros(size)
+    score_of = scores.tolist()
+    probability_of = probs.tolist()
+    for rule in relation.rules:
+        if len(rule) < 2:
+            continue
+        members = [relation.position_of(tid) for tid in rule]
+        for target in members:
+            beating = 0.0
+            total = 0.0
+            for other in members:
+                if other == target:
+                    continue
+                total += probability_of[other]
+                if score_of[other] > score_of[target] or (
+                    ties == "by_index"
+                    # Exact input-score ties.  # repro: noqa RPR002
+                    and score_of[other] == score_of[target]
+                    and other < target
+                ):
+                    beating += probability_of[other]
+            same_rule_higher[target] = beating
+            same_rule_total[target] = total
+
+    # Equation (8) in _expected_rank's operand order.
+    present = probs * (higher_mass - same_rule_higher)
+    absent_rest = relation.expected_world_size() - probs - same_rule_total
+    ranks = present + same_rule_total + (1.0 - probs) * absent_rest
+    return dict(zip(relation.tids(), ranks.tolist()))
 
 
 @profiled("t_erank_vectorized")
@@ -167,15 +196,12 @@ def tuple_expected_ranks_vectorized(
     One argsort by score yields the higher-probability-mass prefix
     sums (strictly-greater under ``shared`` ties via tie-group
     boundaries); rule aggregates are accumulated with ``np.add.at``
-    over rule indices.  Same asymptotics as
-    :func:`tuple_expected_ranks` with modestly smaller constants
-    (~1.4x at N = 100k — the scalar pass is already dominated by rule
-    bookkeeping, unlike the attribute-level case where vectorisation
-    wins 10x).  Cross-checked against the scalar reference in tests.
+    over rule indices.  Not on the production path: its sums fold in a
+    different order than :func:`tuple_expected_ranks`, so ranks can
+    differ in the last bit.  Kept as an independent cross-check for
+    the end-to-end benchmark.
     """
     _check_ties(ties)
-    import numpy as np
-
     size = relation.size
     count("t_erank_vectorized.tuples_accessed", size)
     if size == 0:
@@ -256,69 +282,6 @@ def tuple_expected_ranks_vectorized(
     }
 
 
-@profiled("t_erank_bfs")
-def tuple_expected_ranks_quadratic(
-    relation: TupleLevelRelation,
-    *,
-    ties: TieRule = "shared",
-) -> dict[str, float]:
-    """Brute-force evaluation of equation (7), one pairwise pass per
-    tuple — the ``O(N^2)`` comparison point of experiment E7."""
-    _check_ties(ties)
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    expected_world_size = relation.expected_world_size()
-    ranks: dict[str, float] = {}
-    for row in relation:
-        higher_mass = 0.0
-        for other in relation:
-            if other.tid != row.tid and _beats(
-                other, row, positions, ties
-            ):
-                higher_mass += other.probability
-        same_rule_higher, same_rule_total = _rule_aggregates(
-            relation, row, positions, ties
-        )
-        ranks[row.tid] = _expected_rank(
-            row,
-            higher_mass,
-            same_rule_higher,
-            same_rule_total,
-            expected_world_size,
-        )
-    return ranks
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    ranks: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k, ranks.items(), key=lambda item: (item[1], order[item[0]])
-    )
-
-
-def _as_result(
-    method: str,
-    k: int,
-    winners: Sequence[tuple[str, float]],
-    statistics: dict[str, float],
-    metadata: dict[str, object],
-) -> TopKResult:
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=method,
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata=metadata,
-    )
-
-
 def t_erank(
     relation: TupleLevelRelation,
     k: int,
@@ -328,13 +291,11 @@ def t_erank(
     """Exact top-k by expected rank (algorithm T-ERank)."""
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
-    ranks = tuple_expected_ranks(relation, ties=ties)
-    winners = _select_top_k(relation.tids(), ranks, k)
-    return _as_result(
+    return top_k_result(
         "expected_rank",
         k,
-        winners,
-        ranks,
+        tuple_expected_ranks(relation, ties=ties),
+        relation.tids(),
         {"tuples_accessed": relation.size, "exact": True, "ties": ties},
     )
 
@@ -442,7 +403,6 @@ def t_erank_prune(
     count("t_erank_prune.tuples_accessed", accessed)
     if halted_early:
         count("t_erank_prune.halted_early")
-    winners = _select_top_k(relation.tids(), ranks_seen, k)
     metadata: dict[str, object] = {
         "tuples_accessed": accessed,
         "halted_early": halted_early,
@@ -451,10 +411,10 @@ def t_erank_prune(
     }
     if trajectory is not None:
         metadata["prune_trajectory"] = tuple(trajectory)
-    return _as_result(
+    return top_k_result(
         "expected_rank_prune",
         k,
-        winners,
         ranks_seen,
+        relation.tids(),
         metadata,
     )

@@ -31,19 +31,20 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.attr_mq_rank import _gf_distress, _method_name
 from repro.core.columnar import (
     mass_violation,
     rank_quantiles,
     tuple_rank_pmf_matrix,
 )
 from repro.core.rank_distribution import RankDistribution
-from repro.core.result import RankedItem, TopKResult
-from repro.core.tuple_expected_rank import tuple_expected_ranks
+from repro.core.result import TopKResult, top_k_result
+from repro.core.tuple_expected_rank import _beats, tuple_expected_ranks
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
-from repro.obs import count, emit_event, profiled
+from repro.obs import count, profiled
 from repro.stats.poisson_binomial import (
     mixture_pmf,
     poisson_binomial_pmf,
@@ -58,20 +59,6 @@ __all__ = [
     "t_mqrank",
     "t_mqrank_prune",
 ]
-
-
-def _beats(
-    challenger: TupleLevelTuple,
-    target: TupleLevelTuple,
-    positions: dict[str, int],
-    ties: TieRule,
-) -> bool:
-    if challenger.score > target.score:
-        return True
-    # Ties are exact equality of input scores.  # repro: noqa RPR002
-    if ties == "by_index" and challenger.score == target.score:
-        return positions[challenger.tid] < positions[target.tid]
-    return False
 
 
 def tuple_present_rank_pmf(
@@ -168,61 +155,30 @@ def tuple_rank_distributions_dp(
     }
 
 
-def _gf_distress(kernel: str, deviation: float) -> None:
-    """Account for one GF → DP numerical-distress fallback."""
-    count("kernel.gf_fallback")
-    emit_event(
-        "kernel.gf_fallback", kernel=kernel, deviation=deviation
-    )
-
-
 def tuple_rank_distributions(
     relation: TupleLevelRelation,
     *,
     ties: TieRule = "by_index",
-    engine: str = "gf",
 ) -> dict[str, RankDistribution]:
     """Exact rank distributions of every tuple.
 
-    Dispatches to the columnar generating-function sweep
-    (:mod:`repro.core.columnar`, ``O(N M)``) by default;
-    ``engine="dp"`` selects the paper's ``O(N M^2)`` dynamic program.
-    Both engines produce the same distributions to within ``1e-9``.  A
-    sweep result that loses probability mass beyond the
+    Runs the columnar generating-function sweep
+    (:mod:`repro.core.columnar`, ``O(N M)``).  A sweep result that
+    loses probability mass beyond the
     :data:`~repro.core.columnar.MASS_TOLERANCE` guard is discarded and
-    recomputed with the DP (``kernel.gf_fallback`` counts how often).
+    recomputed with :func:`tuple_rank_distributions_dp`, the paper's
+    ``O(N M^2)`` dynamic program (``kernel.gf_fallback`` counts how
+    often).
     """
-    if engine == "gf":
-        matrix = tuple_rank_pmf_matrix(relation, ties=ties)
-        deviation = mass_violation(matrix)
-        if deviation is not None:
-            _gf_distress("tuple_rank_distributions", deviation)
-            return tuple_rank_distributions_dp(relation, ties=ties)
-        return {
-            tid: RankDistribution(matrix[position])
-            for position, tid in enumerate(relation.tids())
-        }
-    if engine == "dp":
+    matrix = tuple_rank_pmf_matrix(relation, ties=ties)
+    deviation = mass_violation(matrix)
+    if deviation is not None:
+        _gf_distress("tuple_rank_distributions", deviation)
         return tuple_rank_distributions_dp(relation, ties=ties)
-    raise RankingError(
-        f"unknown engine {engine!r}; expected 'gf' or 'dp'"
-    )
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    statistics: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k, statistics.items(), key=lambda item: (item[1], order[item[0]])
-    )
-
-
-def _method_name(phi: float) -> str:
-    # phi=0.5 is the caller's exact literal.  # repro: noqa RPR002
-    return "median_rank" if phi == 0.5 else f"quantile_rank[{phi:g}]"
+    return {
+        tid: RankDistribution(matrix[position])
+        for position, tid in enumerate(relation.tids())
+    }
 
 
 @profiled("t_mqrank")
@@ -256,17 +212,12 @@ def t_mqrank(
             tid: float(dist.quantile(phi))
             for tid, dist in distributions.items()
         }
-    winners = _select_top_k(relation.tids(), statistics, k)
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=_method_name(phi),
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={
+    return top_k_result(
+        _method_name(phi),
+        k,
+        statistics,
+        relation.tids(),
+        {
             "tuples_accessed": relation.size,
             "exact": True,
             "phi": phi,

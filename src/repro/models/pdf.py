@@ -172,6 +172,12 @@ class DiscretePDF:
         return self._probs
 
     @property
+    def greater_probabilities(self) -> tuple[float, ...]:
+        """``Pr[X > v]`` for each support value ``v``, aligned with
+        ``values`` — the suffix sums :meth:`pr_greater` reads."""
+        return self._suffix[1:]
+
+    @property
     def support_size(self) -> int:
         """Number of distinct values with non-zero probability."""
         return len(self._values)

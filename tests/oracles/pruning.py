@@ -18,11 +18,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from repro.core.attr_expected_rank import (
-    _as_result,
-    _select_top_k,
-    attribute_expected_ranks,
-)
+from repro.core.attr_expected_rank import attribute_expected_ranks
 from repro.core.attr_mq_rank import (
     _markov_quantile_upper,
     _method_name,
@@ -31,7 +27,7 @@ from repro.core.attr_mq_rank import (
     a_mqrank,
 )
 from repro.core.beats import beat_probability, value_beat_probability
-from repro.core.result import TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation, AttributeTuple
 from repro.models.pdf import DiscretePDF
@@ -134,11 +130,11 @@ def a_erank_prune_pairwise(
         raise RankingError(f"k must be >= 0, got {k!r}")
     _check_ties(ties)
     if k == 0:
-        return _as_result(
+        return top_k_result(
             "expected_rank_prune",
             0,
-            [],
             {},
+            (),
             {
                 "tuples_accessed": 0,
                 "halted_early": True,
@@ -186,8 +182,6 @@ def a_erank_prune_pairwise(
             break
 
     curtailed = _curtail(relation, seen)
-    ranks = attribute_expected_ranks(curtailed, ties=ties)
-    winners = _select_top_k(curtailed.tids(), ranks, k)
     metadata: dict[str, object] = {
         "tuples_accessed": len(seen),
         "halted_early": halted_early,
@@ -196,7 +190,13 @@ def a_erank_prune_pairwise(
     }
     if trajectory is not None:
         metadata["prune_trajectory"] = tuple(trajectory)
-    return _as_result("expected_rank_prune", k, winners, ranks, metadata)
+    return top_k_result(
+        "expected_rank_prune",
+        k,
+        attribute_expected_ranks(curtailed, ties=ties),
+        curtailed.tids(),
+        metadata,
+    )
 
 
 def a_mqrank_prune_pairwise(

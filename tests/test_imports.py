@@ -56,3 +56,21 @@ def test_public_package_exports_resolve():
             assert hasattr(package, name), (
                 f"{package_name}.__all__ lists missing name {name!r}"
             )
+
+
+def test_import_does_not_load_scipy():
+    """SciPy is only needed by the GF sweeps, which import it on first
+    use; the package, the CLI and the serving core must start
+    without it."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro, repro.cli, repro.serve; "
+            "print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
