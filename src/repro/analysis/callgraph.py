@@ -143,13 +143,30 @@ def _function_reference_args(
     """Expressions this call treats as a thread-dispatch target."""
     tail = dotted.rpartition(".")[2]
     if tail == "run_in_executor" and len(call.args) >= 2:
-        yield call.args[1]
+        yield _context_run_target(call.args[1:])
     elif tail == "submit" and call.args:
-        yield call.args[0]
+        yield _context_run_target(call.args)
     elif tail in ("Thread", "Timer"):
         for keyword in call.keywords:
             if keyword.arg in ("target", "function"):
                 yield keyword.value
+
+
+def _context_run_target(args: Sequence[ast.expr]) -> ast.expr:
+    """The dispatched function, seeing through ``ctx.run, fn, ...``.
+
+    ``loop.run_in_executor(pool, copy_context().run, fn, ...)`` runs
+    ``fn`` on the worker; the ``.run`` bound method is only the
+    context carrier.
+    """
+    first = args[0]
+    if (
+        isinstance(first, ast.Attribute)
+        and first.attr == "run"
+        and len(args) >= 2
+    ):
+        return args[1]
+    return first
 
 
 class ProjectIndex:

@@ -814,7 +814,7 @@ class AccountingOutsideLedger(Rule):
         "no ledger ever sees (invisible cost); with accounting off "
         "it is also a clock read the bit-identical fault-free path "
         "promised not to make.  Meter through "
-        "query_accounting()/CostLedger.meter() instead."
+        "query_context()/CostLedger.meter() instead."
     )
     node_types = (ast.Call,)
 
@@ -827,7 +827,7 @@ class AccountingOutsideLedger(Rule):
             yield node, (
                 f"{target}() reads a CPU/resource clock outside the "
                 "repro.obs.costs chokepoint; meter through "
-                "query_accounting()/CostLedger.meter() so the read "
+                "query_context()/CostLedger.meter() so the read "
                 "is injectable and the cost lands in the ledger"
             )
         elif (
@@ -839,7 +839,7 @@ class AccountingOutsideLedger(Rule):
             yield node, (
                 "direct ledger .record() call outside "
                 "repro.obs.costs; meter through "
-                "query_accounting()/CostLedger.meter() so clocks, "
+                "query_context()/CostLedger.meter() so clocks, "
                 "aggregates, and drift stay consistent"
             )
 
@@ -1033,8 +1033,8 @@ class ContextVarClaimLeak(Rule):
         "ContextVar .set() whose reset token escapes an exit path"
     )
     rationale = (
-        "The capture and accounting chokepoints guard reentrancy "
-        "with a ContextVar claim: token = var.set(...), work, "
+        "The query-lifecycle claim (query_context) guards "
+        "reentrancy with a ContextVar: token = var.set(...), work, "
         "var.reset(token).  If any exit path — an early return, or "
         "an exception out of the work — skips the reset, the context "
         "stays claimed and every later query in that task is "

@@ -1072,44 +1072,39 @@ def _capture_for(args) -> Iterator["object | None"]:
 def _execute_recorded(
     relation, k, method, options, executor, relation_name, planner=None
 ):
-    """Run one query, recording it when a capture log is ambient.
+    """Run one query, recording and metering it when a sink is ambient.
 
-    The plain path (no capture installed, no planner) stays
-    bit-identical to calling the engine directly: :func:`query_capture`
-    is one ``None`` check and no clock is read.  ``planner`` (the
-    ``--cost-model`` hook) routes the plain path through
-    ``planner.plan(...).execute(...)`` so the chosen plan and its
-    estimate replace the static dispatch.
+    The CLI is the outermost layer, so it claims the
+    :func:`~repro.obs.capture.query_context`; with no capture log
+    or ledger installed the claim is a ``None`` check and no clock is
+    read, so the plain path stays bit-identical to calling the engine
+    directly.  ``planner`` (the ``--cost-model`` hook) routes the
+    plain path through ``planner.plan(...).execute(...)`` so the
+    chosen plan and its estimate replace the static dispatch.
     """
-    from repro.obs.capture import query_capture
+    from repro.obs.capture import query_context
 
-    def _run():
+    with query_context(
+        relation,
+        k,
+        method,
+        options,
+        relation_name=relation_name,
+        executor=executor,
+    ) as query:
         if executor is not None:
-            return executor.execute(
+            result = executor.execute(
                 relation, k, method=method, **options
             )
-        if planner is not None:
-            return planner.plan(
+        elif planner is not None:
+            result = planner.plan(
                 relation, k, method, **options
             ).execute(relation, k)
-        return rank(relation, k, method=method, **options)
-
-    with query_capture() as capture:
-        if capture is None:
-            return _run()
-        start = time.perf_counter()
-        result = _run()
-        capture.record_query(
-            relation,
-            result,
-            k=k,
-            method=method,
-            options=options,
-            wall_seconds=time.perf_counter() - start,
-            relation_name=relation_name,
-            executor=executor,
-        )
-        return result
+        else:
+            result = rank(relation, k, method=method, **options)
+        if query is not None:
+            query.finish(result)
+    return result
 
 
 def _command_topk(args) -> int:

@@ -46,7 +46,6 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.rank_distribution import RankDistribution
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -65,10 +64,8 @@ __all__ = [
     "product_polynomial",
     "rank_quantiles",
     "attribute_rank_pmf_matrix",
-    "attribute_rank_distributions_gf",
     "tuple_present_rank_pmf_matrix",
     "tuple_rank_pmf_matrix",
-    "tuple_rank_distributions_gf",
     "rank_position_probability_matrix",
 ]
 
@@ -560,19 +557,6 @@ def attribute_rank_pmf_matrix(
     return matrix
 
 
-def attribute_rank_distributions_gf(
-    relation: AttributeLevelRelation,
-    *,
-    ties: TieRule = "by_index",
-) -> dict[str, RankDistribution]:
-    """Exact rank distributions via the generating-function sweep."""
-    matrix = attribute_rank_pmf_matrix(relation, ties=ties)
-    return {
-        tid: RankDistribution(matrix[position])
-        for position, tid in enumerate(relation.tids())
-    }
-
-
 # ----------------------------------------------------------------------
 # Tuple-level model: one descending sweep over the tuples
 # ----------------------------------------------------------------------
@@ -694,19 +678,6 @@ def tuple_rank_pmf_matrix(
             result[position] += (1.0 - probability) * absent
     np.clip(result, 0.0, None, out=result)
     return result
-
-
-def tuple_rank_distributions_gf(
-    relation: TupleLevelRelation,
-    *,
-    ties: TieRule = "by_index",
-) -> dict[str, RankDistribution]:
-    """Exact rank distributions via the generating-function sweep."""
-    matrix = tuple_rank_pmf_matrix(relation, ties=ties)
-    return {
-        tid: RankDistribution(matrix[position])
-        for position, tid in enumerate(relation.tids())
-    }
 
 
 # ----------------------------------------------------------------------

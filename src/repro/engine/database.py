@@ -10,7 +10,6 @@ query log the experiments can inspect.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -19,8 +18,7 @@ from repro.core.result import TopKResult
 from repro.core.semantics import rank
 from repro.engine.io import load_json, save_json
 from repro.obs import trace
-from repro.obs.capture import query_capture
-from repro.obs.costs import query_accounting
+from repro.obs.capture import query_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.query import ResilientExecutor
@@ -186,17 +184,16 @@ class ProbabilisticDatabase:
         exact path; the log entry then records whether (and to what)
         the answer degraded.
 
-        When an ambient :class:`~repro.obs.capture.CaptureLog` is
-        installed, the query is additionally recorded there —
-        ``db.topk`` claims the capture point, so a nested executor
-        does not record the same query twice.  The ambient
-        :class:`~repro.obs.costs.CostLedger` works the same way: the
-        outermost claimer meters the query, so serving-layer metering
-        (which attributes a tenant) wins over this entry point.
+        When an ambient :class:`~repro.obs.capture.CaptureLog` or
+        :class:`~repro.obs.costs.CostLedger` is installed, the query is
+        recorded and metered there once: ``db.topk`` claims the
+        :func:`~repro.obs.capture.query_context`, so a nested
+        executor does not report the same query twice.
         """
         relation = self.relation(name)
-        with query_capture() as capture, query_accounting() as meter:
-            start = time.perf_counter()
+        with query_context(
+            relation, k, method, options, relation_name=name, executor=executor
+        ) as query:
             # The db.topk span is the query's root: the planner,
             # kernel, retry, and degradation spans all nest under it
             # and inherit its trace id, which the log entry records
@@ -233,26 +230,8 @@ class ProbabilisticDatabase:
                     trace_id=span.trace_id,
                 )
             )
-            if capture is not None:
-                capture.record_query(
-                    relation,
-                    result,
-                    k=k,
-                    method=method,
-                    options=options,
-                    wall_seconds=time.perf_counter() - start,
-                    relation_name=name,
-                    executor=executor,
-                    trace_id=span.trace_id,
-                )
-            if meter is not None:
-                meter.finish(
-                    result,
-                    k=k,
-                    n=relation.size,
-                    method=method,
-                    trace_id=span.trace_id,
-                )
+            if query is not None:
+                query.finish(result, trace_id=span.trace_id)
         return result
 
     @property

@@ -49,9 +49,10 @@ from __future__ import annotations
 
 from repro.obs.capture import (
     CaptureLog,
+    QueryContext,
     answer_digest,
     get_capture,
-    query_capture,
+    query_context,
     read_jsonl,
     relation_digest,
     set_capture,
@@ -70,7 +71,6 @@ from repro.obs.costs import (
     CostEntry,
     CostLedger,
     get_cost_ledger,
-    query_accounting,
     set_cost_ledger,
 )
 from repro.obs.explain import (
@@ -155,6 +155,7 @@ __all__ = [
     "LoggingSink",
     "MetricsRegistry",
     "NullSink",
+    "QueryContext",
     "QueryReplay",
     "ReplayReport",
     "SLOEngine",
@@ -191,8 +192,7 @@ __all__ = [
     "parse_prometheus",
     "parse_slo_specs",
     "profiled",
-    "query_accounting",
-    "query_capture",
+    "query_context",
     "read_jsonl",
     "relation_digest",
     "replay_capture",

@@ -13,22 +13,30 @@ Capture is ambient, like the span sink: install a log with
 invocation) and every query that flows through
 ``ProbabilisticDatabase.topk``, a
 :class:`~repro.engine.query.ResilientExecutor`, or the ``topk`` CLI
-records itself.  Nested layers claim the capture point through
-:func:`query_capture`, outermost wins, so one query is never recorded
-twice.  With no log installed the whole machinery is one ``None``
-check per query.
+records itself.
+
+The same layers meter the query in the ambient
+:class:`~repro.obs.costs.CostLedger`.  Both go through one claim,
+:func:`query_context`: the outermost executing layer claims the query
+and calls :meth:`QueryContext.finish` once, every nested layer gets
+``None``.  With neither sink installed the claim is one ContextVar
+read plus ``None`` checks, and no clock is read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping
 
+from repro.obs.costs import CostLedger, CostMeter, get_cost_ledger
 from repro.obs.explain import _json_safe
+from repro.obs.logging import current_tenant
 from repro.obs.metrics import count
 from repro.obs.trace import JsonlSink, current_trace_id
 
@@ -43,9 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "CAPTURE_SCHEMA_VERSION",
     "CaptureLog",
+    "QueryContext",
     "answer_digest",
     "get_capture",
-    "query_capture",
+    "query_context",
     "read_jsonl",
     "relation_digest",
     "resilience_config",
@@ -165,11 +174,6 @@ class CaptureLog:
         self._next_seq = 0
 
     @property
-    def records_written(self) -> int:
-        """Queries recorded so far (including any the cap dropped)."""
-        return self._next_seq
-
-    @property
     def truncated(self) -> bool:
         """Whether the underlying sink's byte cap has tripped."""
         return self._sink.truncated
@@ -273,9 +277,6 @@ class CaptureLog:
 
 
 _capture: CaptureLog | None = None
-_claimed: ContextVar[bool] = ContextVar(
-    "repro_capture_claimed", default=False
-)
 
 
 def get_capture() -> CaptureLog | None:
@@ -291,25 +292,102 @@ def set_capture(log: CaptureLog | None) -> CaptureLog | None:
     return previous
 
 
-@contextmanager
-def query_capture() -> Iterator[CaptureLog | None]:
-    """Claim the capture point for one query; outermost claim wins.
+@dataclass
+class QueryContext:
+    """One claimed query: its identity and the sinks it reports to."""
 
-    Yields the ambient :class:`CaptureLog` to exactly one layer of a
-    nested execution (``db.topk`` → executor → plan), and ``None`` to
-    every layer beneath it — so a query is recorded once, by the
-    layer closest to the caller.  Yields ``None`` everywhere when no
-    log is installed.
+    relation: "Relation"
+    k: int
+    method: str
+    options: Mapping[str, object] | None
+    relation_name: str | None
+    executor: "ResilientExecutor | None"
+    capture: CaptureLog | None
+    meter: CostMeter | None
+    start: float
+
+    def finish(
+        self, result: "TopKResult", *, trace_id: str | None = None
+    ) -> None:
+        """Write the capture record and the cost entry, if installed."""
+        if self.capture is not None:
+            self.capture.record_query(
+                self.relation,
+                result,
+                k=self.k,
+                method=self.method,
+                options=self.options,
+                wall_seconds=time.perf_counter() - self.start,
+                relation_name=self.relation_name,
+                executor=self.executor,
+                trace_id=trace_id,
+            )
+        if self.meter is not None:
+            self.meter.finish(
+                result,
+                k=self.k,
+                n=self.relation.size,
+                method=self.method,
+                trace_id=trace_id,
+            )
+
+
+#: The one claim: ``None`` outside any query, a ledger inside an
+#: unclaimed scope that carries it inward, else the claiming query.
+_active: ContextVar[QueryContext | CostLedger | None] = ContextVar(
+    "repro_query_context", default=None
+)
+
+
+@contextmanager
+def query_context(
+    relation: "Relation | None" = None,
+    k: int = 0,
+    method: str = "expected_rank",
+    options: Mapping[str, object] | None = None,
+    *,
+    relation_name: str | None = None,
+    executor: "ResilientExecutor | None" = None,
+    ledger: CostLedger | None = None,
+) -> Iterator[QueryContext | None]:
+    """Claim one query for capture and metering; outermost wins.
+
+    Yields a :class:`QueryContext` to the outermost layer that passes
+    a ``relation`` and ``None`` to every layer inside it.  Without a
+    ``relation`` the scope stays unclaimed and only carries ``ledger``
+    inward (the serving core's explicit ledger).  An explicit ledger
+    beats an enclosing scope's, which beats the ambient one; the cost
+    entry's tenant is the one bound by ``bind_tenant``.
     """
-    log = _capture
-    if log is None or _claimed.get():
+    outer = _active.get()
+    if isinstance(outer, QueryContext):
         yield None
         return
-    token = _claimed.set(True)
+    if ledger is None:
+        ledger = outer
+    query = None
+    if relation is not None:
+        if ledger is None:
+            ledger = get_cost_ledger()
+        if ledger is None and _capture is None:
+            yield None
+            return
+        query = QueryContext(
+            relation,
+            k,
+            method,
+            options,
+            relation_name,
+            executor,
+            _capture,
+            None if ledger is None else ledger.meter(tenant=current_tenant()),
+            time.perf_counter(),
+        )
+    token = _active.set(ledger if query is None else query)
     try:
-        yield log
+        yield query
     finally:
-        _claimed.reset(token)
+        _active.reset(token)
 
 
 def read_jsonl(path: Path | str) -> tuple[list[dict], list[str]]:

@@ -19,9 +19,9 @@ enough samples, so a stale cost model dumps its own evidence.
 
 Accounting is ambient and off by default, mirroring the capture log:
 install a ledger with :func:`set_cost_ledger` and the query layers
-(``db.topk``, the resilient executor, the serving core) meter
-themselves through :func:`query_accounting`; the outermost layer
-claims the query, inner layers see ``None``.  With no ledger
+(CLI, ``db.topk``, the resilient executor) meter themselves through
+:func:`repro.obs.capture.query_context`; the outermost layer claims
+the query, inner layers see ``None``.  With no ledger
 installed the whole machinery is one ``None`` check per query and no
 clock is read — the fault-free path stays bit-identical.
 """
@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.obs.flight import notify_anomaly
 from repro.obs.metrics import get_registry
@@ -45,7 +43,6 @@ __all__ = [
     "CostEntry",
     "CostLedger",
     "get_cost_ledger",
-    "query_accounting",
     "set_cost_ledger",
 ]
 
@@ -90,21 +87,7 @@ class CostEntry:
     trace_id: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
-            "method": self.method,
-            "plan_method": self.plan_method,
-            "k": self.k,
-            "n": self.n,
-            "wall_seconds": self.wall_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "tuples_accessed": self.tuples_accessed,
-            "degraded": self.degraded,
-            "rung": self.rung,
-            "predicted_seconds": self.predicted_seconds,
-            "predicted_tuples": self.predicted_tuples,
-            "trace_id": self.trace_id,
-        }
+        return asdict(self)
 
 
 class _Aggregate:
@@ -130,15 +113,7 @@ class _Aggregate:
         self.predicted_queries = 0
 
     def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "wall_seconds": self.wall_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "tuples_accessed": self.tuples_accessed,
-            "degraded": self.degraded,
-            "predicted_seconds": self.predicted_seconds,
-            "predicted_queries": self.predicted_queries,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _winning_rung(metadata: Mapping[str, object]) -> str:
@@ -374,7 +349,6 @@ class CostMeter:
         k: int,
         n: int,
         method: str,
-        tenant: str | None = None,
         trace_id: str | None = None,
     ) -> CostEntry:
         """Stop the clocks and write the entry to the ledger.
@@ -399,11 +373,7 @@ class CostMeter:
             if isinstance(tuples, int):
                 predicted_tuples = tuples
         entry = CostEntry(
-            tenant=(
-                tenant
-                if tenant is not None
-                else (self.tenant or "default")
-            ),
+            tenant=self.tenant or "default",
             method=method,
             plan_method=result.method,
             k=k,
@@ -434,9 +404,6 @@ class CostMeter:
 
 
 _ledger: CostLedger | None = None
-_claimed: ContextVar[bool] = ContextVar(
-    "repro_costs_claimed", default=False
-)
 
 
 def get_cost_ledger() -> CostLedger | None:
@@ -452,29 +419,3 @@ def set_cost_ledger(
     previous = _ledger
     _ledger = ledger
     return previous
-
-
-@contextmanager
-def query_accounting(
-    ledger: CostLedger | None = None,
-    *,
-    tenant: str | None = None,
-) -> Iterator[CostMeter | None]:
-    """Claim the accounting point for one query; outermost wins.
-
-    Yields a started :class:`CostMeter` to exactly one layer of a
-    nested execution (serving core → ``db.topk`` → executor) and
-    ``None`` to every layer beneath it, so a query is accounted once,
-    by the layer that knows the most identity (the serving core knows
-    the tenant).  Yields ``None`` everywhere when no ledger is
-    installed — that path reads no clock.
-    """
-    active = ledger if ledger is not None else _ledger
-    if active is None or _claimed.get():
-        yield None
-        return
-    token = _claimed.set(True)
-    try:
-        yield active.meter(tenant=tenant)
-    finally:
-        _claimed.reset(token)

@@ -49,6 +49,7 @@ __all__ = [
     "get_sink",
     "set_sink",
     "trace",
+    "trace_root",
 ]
 
 
@@ -259,10 +260,13 @@ class _SpanHandle:
         "_start",
         "_token",
         "_trace_token",
+        "_root",
         "error",
     )
 
-    def __init__(self, name: str, attributes: dict) -> None:
+    def __init__(
+        self, name: str, attributes: dict, *, root: bool = False
+    ) -> None:
         self.name = name
         self.attributes = attributes
         self.span_id = next(_span_ids)
@@ -272,11 +276,13 @@ class _SpanHandle:
         self._start = 0.0
         self._token = None
         self._trace_token = None
+        self._root = root
 
     def __enter__(self) -> "_SpanHandle":
-        self.parent_id = _active_span.get()
+        if not self._root:
+            self.parent_id = _active_span.get()
         self._token = _active_span.set(self.span_id)
-        trace_id = _active_trace.get()
+        trace_id = None if self._root else _active_trace.get()
         if trace_id is None:
             # Outermost span of the stack: mint the trace id that
             # every nested span and event will inherit.
@@ -350,3 +356,11 @@ def trace(name: str, **attributes: object) -> _SpanHandle | _NullSpan:
     if not get_registry().enabled:
         return _NULL_SPAN
     return _SpanHandle(name, attributes)
+
+
+def trace_root(name: str, **attributes: object) -> _SpanHandle | _NullSpan:
+    """Like :func:`trace`, but the span starts a fresh trace even
+    inside another span (one served request inside ``cli.serve``)."""
+    if not get_registry().enabled:
+        return _NULL_SPAN
+    return _SpanHandle(name, attributes, root=True)

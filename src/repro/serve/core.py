@@ -39,6 +39,7 @@ skews accounting by one call at worst, never an answer.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,10 +54,11 @@ from repro.exceptions import (
     SchemaError,
 )
 from repro.obs import answer_digest, count, get_capture, get_registry
-from repro.obs import trace as obs_trace
-from repro.obs.costs import CostLedger, query_accounting
+from repro.obs.capture import query_context
+from repro.obs.costs import CostLedger
 from repro.obs.flight import notify_anomaly
 from repro.obs.logging import bind_tenant, get_logger
+from repro.obs.trace import trace_root
 from repro.robust import BreakerBoard, Deadline, RetryPolicy
 from repro.serve.admission import AdmissionController
 from repro.serve.coalesce import RequestCoalescer, coalesce_key
@@ -311,7 +313,7 @@ class ServingCore:
         propagate; a typed contract must not hide bugs.)
         """
         start = self._clock()
-        with bind_tenant(request.tenant), obs_trace(
+        with bind_tenant(request.tenant), trace_root(
             "serve.request",
             tenant=request.tenant,
             relation=request.relation,
@@ -396,8 +398,11 @@ class ServingCore:
             EngineError("serve leader aborted before resolving"),
         )
         try:
+            # A copy of this context keeps the worker in the request's
+            # trace (db.topk under serve.request) and tenant.
+            context = contextvars.copy_context()
             result = await loop.run_in_executor(
-                self._pool, self._run_query, request, deadline
+                self._pool, context.run, self._run_query, request, deadline
             )
             outcome = ("ok", result)
         except (ReproError, OSError) as error:
@@ -463,28 +468,16 @@ class ServingCore:
             seed=self.settings.seed,
             planner=self.planner,
         )
-        # Claim accounting here, on the worker thread, with the one
-        # piece of identity only the serving layer knows: the tenant.
-        # ``db.topk`` runs in the same thread and sees the claim, so
-        # the query is metered exactly once.
-        with query_accounting(
-            self.ledger, tenant=request.tenant
-        ) as meter:
-            result = self.database.topk(
+        # The core adds only its explicit ledger; db.topk claims the
+        # query and bills the tenant bound in the copied context.
+        with query_context(ledger=self.ledger):
+            return self.database.topk(
                 request.relation,
                 request.k,
                 request.method,
                 executor=executor,
                 **dict(request.options),
             )
-            if meter is not None:
-                meter.finish(
-                    result,
-                    k=request.k,
-                    n=self.database.relation(request.relation).size,
-                    method=request.method,
-                )
-        return result
 
     # ------------------------------------------------------------------
     # Outcome → response

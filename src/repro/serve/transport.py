@@ -13,17 +13,35 @@ response out:
 
 Malformed lines become ``status="error"`` responses for that line
 only — a bad request never takes down the connection or the batch.
+That covers lines that are not JSON, not UTF-8, or longer than
+:data:`MAX_LINE_BYTES`; a client that hangs up mid-pipeline forfeits
+its responses without disturbing the server.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 
 from repro.exceptions import SchemaError
 from repro.serve.core import ServingCore, ServeRequest
 
-__all__ = ["handle_line", "run_batch", "serve_tcp"]
+__all__ = ["MAX_LINE_BYTES", "handle_line", "run_batch", "serve_tcp"]
+
+#: The longest request line a TCP connection accepts (asyncio's
+#: default stream limit); a longer line is skipped through its
+#: newline and answered with a per-line ``SchemaError``.
+MAX_LINE_BYTES = 2**16
+
+
+def _schema_error(message: str, request_id: object = None) -> dict:
+    return {
+        "status": "error",
+        "id": request_id,
+        "error_type": "SchemaError",
+        "error": message,
+    }
 
 
 async def handle_line(core: ServingCore, line: str) -> dict:
@@ -37,23 +55,13 @@ async def handle_line(core: ServingCore, line: str) -> dict:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as error:
-        return {
-            "status": "error",
-            "id": None,
-            "error_type": "SchemaError",
-            "error": f"invalid JSON: {error.msg}",
-        }
+        return _schema_error(f"invalid JSON: {error.msg}")
     if isinstance(payload, dict):
         request_id = payload.pop("id", None)
     try:
         request = ServeRequest.from_json(payload)
     except SchemaError as error:
-        return {
-            "status": "error",
-            "id": request_id,
-            "error_type": "SchemaError",
-            "error": str(error),
-        }
+        return _schema_error(str(error), request_id)
     response = await core.submit(request)
     record = response.to_json()
     record["id"] = request_id
@@ -82,6 +90,38 @@ async def run_batch(
     return responses
 
 
+async def _read_line(reader: asyncio.StreamReader) -> str | dict | None:
+    """The next request line, an error response, or ``None`` at EOF.
+
+    An overlong line is discarded through its newline, so the next
+    line parses from a clean boundary.
+    """
+    try:
+        raw = await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        raw = eof.partial
+    except asyncio.LimitOverrunError as overrun:
+        consumed = overrun.consumed
+        while True:
+            await reader.readexactly(consumed)
+            try:
+                await reader.readuntil(b"\n")
+                break
+            except asyncio.IncompleteReadError:
+                break
+            except asyncio.LimitOverrunError as more:
+                consumed = more.consumed
+        return _schema_error(
+            f"request line exceeds {MAX_LINE_BYTES} bytes"
+        )
+    if not raw:
+        return None
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        return _schema_error(f"request line is not UTF-8: {error}")
+
+
 async def serve_tcp(
     core: ServingCore,
     host: str = "127.0.0.1",
@@ -102,28 +142,44 @@ async def serve_tcp(
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
 
-        async def respond(line: str) -> None:
-            record = await handle_line(core, line)
+        async def send(record: dict) -> None:
             async with write_lock:
-                writer.write(
-                    (json.dumps(record) + "\n").encode("utf-8")
-                )
-                await writer.drain()
+                # A client that hung up forfeits its responses; its
+                # queries still settle, nothing more is written.
+                if writer.is_closing():
+                    return
+                try:
+                    writer.write(
+                        (json.dumps(record) + "\n").encode("utf-8")
+                    )
+                    await writer.drain()
+                except ConnectionError:
+                    writer.close()
+
+        async def respond(line: str) -> None:
+            await send(await handle_line(core, line))
 
         try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                task = asyncio.create_task(
-                    respond(raw.decode("utf-8"))
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
+            # A reset mid-read means the client is gone; its in-flight
+            # requests still settle before the connection closes.
+            with contextlib.suppress(ConnectionError):
+                while True:
+                    line = await _read_line(reader)
+                    if line is None:
+                        break
+                    if isinstance(line, dict):
+                        await send(line)
+                        continue
+                    task = asyncio.create_task(respond(line))
+                    pending.add(task)
+                    task.add_done_callback(pending.discard)
             if pending:
                 await asyncio.gather(*pending)
         finally:
             writer.close()
-            await writer.wait_closed()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
 
-    return await asyncio.start_server(handler, host, port)
+    return await asyncio.start_server(
+        handler, host, port, limit=MAX_LINE_BYTES
+    )

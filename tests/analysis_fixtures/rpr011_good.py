@@ -4,12 +4,12 @@ and everyone else meters through it."""
 
 import time
 
-from repro.obs.costs import query_accounting
+from repro.obs.capture import query_context
 
 cpu = time.process_time()
 
 
-def bill(result) -> None:
-    with query_accounting() as meter:
-        if meter is not None:
-            meter.finish(result, k=1, n=1, method="expected_rank")
+def bill(relation, result) -> None:
+    with query_context(relation, 1) as query:
+        if query is not None:
+            query.finish(result)

@@ -98,7 +98,7 @@ class TestFixturePairs:
         assert "None" in by_code["RPR008"]
         assert "run_in_executor" in by_code["RPR009"]
         assert "repro.obs.logging" in by_code["RPR010"]
-        assert "query_accounting" in by_code["RPR011"]
+        assert "query_context" in by_code["RPR011"]
         assert "alias" in by_code["RPR012"]
         assert "run_in_executor" in by_code["RPR013"]
         assert "await" in by_code["RPR014"]
@@ -444,6 +444,20 @@ class TestCallGraph:
         assert "repro.serve_mod.Core.prepare" in loop
         assert "repro.helpers.fetch" in loop
         assert thread == {"repro.serve_mod.grind"}
+
+    def test_context_run_dispatch_colors_the_wrapped_function(self):
+        ctx = _context(
+            "import contextvars\n"
+            "async def handle(loop, work):\n"
+            "    return await loop.run_in_executor(\n"
+            "        None, contextvars.copy_context().run, grind, work\n"
+            "    )\n"
+            "def grind(work):\n"
+            "    return work\n",
+            "repro/carrier.py",
+        )
+        index = ProjectIndex.build([ctx])
+        assert index.thread_colored() == {"repro.carrier.grind"}
 
     def test_cycles_terminate(self):
         ctx = _context(

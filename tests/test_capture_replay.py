@@ -15,11 +15,11 @@ from repro.obs.capture import (
     CAPTURE_SCHEMA_VERSION,
     CaptureLog,
     answer_digest,
-    query_capture,
     read_jsonl,
     relation_digest,
     set_capture,
 )
+from repro.obs.capture import query_context
 from repro.obs.replay import (
     EXIT_PARTIAL_INPUT,
     EXIT_REPLAY_REGRESSION,
@@ -135,16 +135,22 @@ class TestCaptureLog:
 
 
 class TestQueryCaptureClaim:
-    def test_outermost_layer_wins(self, capture_log):
-        log, _ = capture_log
-        with query_capture() as outer:
-            assert outer is log
-            with query_capture() as inner:
+    def test_outermost_layer_wins(self, fig2, capture_log):
+        log, path = capture_log
+        with query_context(fig2, 2) as outer:
+            assert outer is not None
+            with query_context(fig2, 2) as inner:
                 assert inner is None
+            outer.finish(rank(fig2, 2))
+        # The claim is released: the next query records again.
+        with query_context(fig2, 2) as again:
+            assert again is not None
+        log.close()
+        assert len(_records(path)) == 1
 
-    def test_none_when_uninstalled(self):
-        with query_capture() as capture:
-            assert capture is None
+    def test_none_when_uninstalled(self, fig2):
+        with query_context(fig2, 2) as query:
+            assert query is None
 
     def test_database_topk_records_once(self, fig2, capture_log):
         log, path = capture_log

@@ -6,10 +6,10 @@ Three layers:
   ``(tenant, method)`` aggregation, drift tracking, and the
   ``cost_drift`` anomaly contract (fires once, re-arms after
   recovery);
-* :func:`query_accounting` claim semantics — off path yields ``None``
-  everywhere, the outermost layer wins, explicit ledger beats
-  ambient — plus the end-to-end wiring through ``db.topk`` and the
-  resilient executor;
+* :func:`~repro.obs.capture.query_context` claim semantics — off
+  path yields ``None`` everywhere, the outermost layer wins, explicit
+  ledger beats ambient — plus the end-to-end wiring through
+  ``db.topk`` and the resilient executor;
 * the :class:`CostModel` — metric-name parsing, median fits from
   bench history and capture records, persistence, and the acceptance
   criterion: a fitted model changes a planner choice the static
@@ -43,10 +43,10 @@ from repro.obs.costs import (
     CostEntry,
     CostLedger,
     get_cost_ledger,
-    query_accounting,
     set_cost_ledger,
 )
 from repro.obs.flight import set_flight_recorder
+from repro.obs.capture import query_context
 from repro.robust import RetryPolicy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -331,35 +331,39 @@ class TestDriftAnomaly:
 # Claim semantics and engine wiring
 # ----------------------------------------------------------------------
 class TestQueryAccounting:
-    def test_off_path_yields_none(self):
+    def test_off_path_yields_none(self, fig2):
         assert get_cost_ledger() is None
-        with query_accounting() as meter:
-            assert meter is None
+        with query_context(fig2, 1) as query:
+            assert query is None
 
-    def test_outermost_layer_claims_inner_sees_none(self):
+    def test_outermost_layer_claims_inner_sees_none(self, fig2):
         ledger, _, _ = make_ledger()
-        with query_accounting(ledger) as outer:
+        with query_context(fig2, 1, ledger=ledger) as outer:
             assert outer is not None
-            with query_accounting(ledger) as inner:
+            with query_context(fig2, 1, ledger=ledger) as inner:
                 assert inner is None
         # The claim is released: the next query meters again.
-        with query_accounting(ledger) as again:
+        with query_context(fig2, 1, ledger=ledger) as again:
             assert again is not None
 
-    def test_explicit_ledger_beats_ambient(self):
+    def test_explicit_ledger_beats_ambient(self, fig2):
         ambient, _, _ = make_ledger()
         explicit, wall, _ = make_ledger()
         previous = set_cost_ledger(ambient)
         try:
-            with query_accounting(explicit) as meter:
-                assert meter is not None
+            with query_context(fig2, 1, ledger=explicit) as query:
+                assert query is not None
                 wall.advance(1.0)
-                meter.finish(
-                    make_result(), k=1, n=1, method="expected_rank"
-                )
+                query.finish(make_result())
+            # An unclaimed scope carries its ledger to the claimer.
+            with query_context(ledger=explicit):
+                with query_context(fig2, 1) as query:
+                    assert query is not None
+                    query.finish(make_result())
         finally:
             set_cost_ledger(previous)
-        assert len(explicit.entries) == 1
+        assert len(explicit.entries) == 2
+        assert explicit.entries[0].wall_seconds == 1.0
         assert ambient.entries == ()
 
     def test_db_topk_accounts_once_via_ambient_ledger(
@@ -401,9 +405,9 @@ class TestQueryAccounting:
         ledger = CostLedger()
         previous = set_cost_ledger(ledger)
         try:
-            with query_accounting() as meter:
+            with query_context(fig2, 2) as query:
                 accounted = TopKPlanner().execute(fig2, 2)
-                assert meter is not None
+                assert query is not None
         finally:
             set_cost_ledger(previous)
         assert accounted == bare  # metering never mutates the answer

@@ -503,6 +503,119 @@ class TestTransport:
         assert len(digests) == 1
 
 
+class TestTransportHostileInput:
+    """Real sockets: one bad line is one error, never a dead link."""
+
+    VALID = b'{"relation": "fig2", "k": 2, "id": %d}\n'
+
+    @staticmethod
+    async def _settle() -> None:
+        """Wait out every other task, so handler deaths surface."""
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        if others:
+            await asyncio.wait(others, timeout=5.0)
+        await asyncio.sleep(0)
+
+    def _exchange(self, db, bad_line: bytes):
+        core = make_core(db)
+
+        async def scenario():
+            errors: list = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            server = await serve_tcp(core, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(self.VALID % 1 + bad_line + self.VALID % 3)
+            await writer.drain()
+            writer.write_eof()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await core.drain()
+            await self._settle()
+            return [
+                json.loads(line) for line in raw.decode().splitlines()
+            ], errors
+
+        return asyncio.run(scenario())
+
+    def _assert_one_error_line(self, records, errors, message):
+        assert errors == []
+        assert sorted(
+            (r["id"] is None, r["status"]) for r in records
+        ) == [(False, "ok"), (False, "ok"), (True, "error")]
+        assert {r["id"] for r in records if r["status"] == "ok"} == {
+            1,
+            3,
+        }
+        (bad,) = [r for r in records if r["status"] == "error"]
+        assert bad["error_type"] == "SchemaError"
+        assert message in bad["error"]
+
+    # 70 kB overruns with the newline already buffered; 300 kB
+    # overruns before it arrives and must be skipped in pieces.
+    @pytest.mark.parametrize("size", [70_000, 300_000])
+    def test_overlong_line_is_a_per_line_error(self, db, size):
+        line = b'{"relation": "' + b"x" * size + b'", "k": 2}\n'
+        records, errors = self._exchange(db, line)
+        self._assert_one_error_line(records, errors, "exceeds")
+
+    def test_non_utf8_line_is_a_per_line_error(self, db):
+        records, errors = self._exchange(db, b"\xff\xfe\n")
+        self._assert_one_error_line(records, errors, "UTF-8")
+
+    def test_client_abort_mid_pipeline_is_contained(self, db):
+        import socket
+        import struct
+
+        core = make_core(db)
+
+        async def scenario():
+            errors: list = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            server = await serve_tcp(core, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            _, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(self.VALID % i for i in range(4)))
+            await writer.drain()
+            # Abort: RST instead of FIN, before any response lands.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET,
+                socket.SO_LINGER,
+                struct.pack("ii", 1, 0),
+            )
+            writer.transport.abort()
+            for _ in range(2000):  # until the server has read them
+                if core.inflight:
+                    break
+                await asyncio.sleep(0.001)
+            while core.inflight:
+                await asyncio.sleep(0.001)
+            # The server keeps serving other connections.
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(self.VALID % 9)
+            await writer.drain()
+            writer.write_eof()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await core.drain()
+            await self._settle()
+            return json.loads(raw), errors
+
+        record, errors = asyncio.run(scenario())
+        assert record["id"] == 9 and record["status"] == "ok"
+        assert errors == []
+
+
 # ----------------------------------------------------------------------
 # The repro serve CLI
 # ----------------------------------------------------------------------
